@@ -34,8 +34,8 @@ from .enclosure import (
     enclosure_report,
 )
 from .helmholtz import helmholtz_decompose, divergence
-from .lame import Potential, resolvent_direct, resolvent_split
-from .lattice import random_scalar_field, random_vector_field, scalar_lp_norm, vector_lp_norm, gradient_energy
+from .lame import resolvent_direct, resolvent_split
+from .lattice import random_scalar_field, random_vector_field, scalar_lp_norm, vector_lp_norm
 from .norms import norm_result
 from .potentials import random_ensemble
 from .serialize import (

@@ -16,8 +16,6 @@ load previously exported samples.
 
 from __future__ import annotations
 
-import os
-
 import yaml
 
 from .lame import LameParams, Potential
@@ -30,10 +28,7 @@ __all__ = [
     "lattice_from_config",
     "params_from_config",
     "potential_from_config",
-    "thread_count",
 ]
-
-THREADS_ENV = "LAMESPECTRA_THREADS"
 
 
 class ConfigError(ValueError):
@@ -133,17 +128,3 @@ def potential_from_config(cfg: dict, lattice: Lattice) -> Potential:
         raise ConfigError(f"bad arguments for {family} potential: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def thread_count() -> int:
-    """Worker threads: the LAMESPECTRA_THREADS variable, else the CPU count."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-        if n < 1:
-            raise ConfigError(f"{THREADS_ENV} must be positive, got {n}")
-        return n
-    return os.cpu_count() or 1

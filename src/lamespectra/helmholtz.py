@@ -2,8 +2,10 @@
 
 The solenoidal part comes from the Leray projector, whose Fourier symbol is
 I - xi xi^T / |xi|^2; the potential (gradient) part is the complement.  The
-zero frequency is left in the solenoidal part by convention: constants are
-divergence free and the potential part stays mean free.
+projector acts in coefficient space as fhat - xi (xi . fhat) / |xi|^2, with
+no matrix symbol built.  The zero frequency is left in the solenoidal part
+by convention: constants are divergence free and the potential part stays
+mean free.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .operator_norms import lp_operator_norm
 __all__ = [
     "HelmholtzPair",
     "riesz_transform",
+    "leray_coefficients",
     "leray_project",
     "helmholtz_decompose",
     "riesz_norm_bound",
@@ -53,21 +56,21 @@ def riesz_transform(axis: int, phi: ScalarField) -> ScalarField:
     return apply_multiplier(_riesz_symbol(phi.lattice, axis), phi)
 
 
-def _leray_symbol(lattice: Lattice) -> np.ndarray:
-    """Projector symbol, shape grid + (dim, dim); identity at xi = 0."""
-    d = lattice.dim
+def leray_coefficients(lattice: Lattice, fhat: np.ndarray) -> np.ndarray:
+    """Leray projection of Fourier coefficients (dim, *grid); identity at xi = 0."""
     xi = lattice.frequency_grid
     xi2 = lattice.frequency_norm2
     denom = np.where(xi2 > 0.0, xi2, 1.0)
-    sym = -(xi[:, None] * xi[None, :]) / denom
-    for j in range(d):
-        sym[j, j] += 1.0
-    return np.moveaxis(sym, (0, 1), (-2, -1)).astype(np.complex128)
+    return fhat - xi * (np.sum(xi * fhat, axis=0) / denom)[None]
 
 
 def leray_project(f: VectorField) -> VectorField:
-    """Solenoidal projection of f; equals f_j + sum_k R_j R_k f_k."""
-    return apply_multiplier(_leray_symbol(f.lattice), f)
+    """Solenoidal projection of f; equals f_j + sum_k R_j R_k f_k.
+
+    Projects the coefficients between one forward and one inverse transform.
+    """
+    fhat = leray_coefficients(f.lattice, forward_transform(f).values)
+    return inverse_transform(VectorField(f.lattice, fhat))
 
 
 @dataclass(frozen=True)

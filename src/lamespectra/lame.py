@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .helmholtz import helmholtz_decompose
+from .helmholtz import leray_coefficients
 from .lattice import (
     Lattice,
     ScalarField,
@@ -122,10 +122,23 @@ def _check_admissible(z: complex, tau_z: float) -> None:
 
 
 def lame_symbol(params: LameParams, xi) -> np.ndarray:
-    """Symbol M(xi) = mu |xi|^2 I + (lam + mu) xi xi^T as a (d, d) array."""
+    """Symbol M(xi) = mu |xi|^2 I + (lam + mu) xi xi^T.
+
+    ``xi`` is one frequency of shape (d,), giving a (d, d) array, or a grid
+    of frequencies of shape (d, *grid), giving a (d, d, *grid) array.
+    """
     xi = np.asarray(xi, dtype=float)
-    d = xi.size
-    return params.mu * float(xi @ xi) * np.eye(d) + (params.lam + params.mu) * np.outer(xi, xi)
+    d = xi.shape[0]
+    xi2 = np.sum(xi**2, axis=0)
+    eye = np.eye(d).reshape((d, d) + (1,) * (xi.ndim - 1))
+    return (params.lam + params.mu) * (xi[:, None] * xi[None, :]) + params.mu * xi2 * eye
+
+
+def _shifted_symbols(params: LameParams, lattice: Lattice, z: complex) -> np.ndarray:
+    """M(xi) - z I at every lattice frequency, as a contiguous (npts, d, d) stack."""
+    d = lattice.dim
+    sym = lame_symbol(params, lattice.frequency_grid.reshape(d, -1))  # (d, d, npts)
+    return np.ascontiguousarray(sym.transpose(2, 0, 1)) - z * np.eye(d)
 
 
 def apply_lame(params: LameParams, u: VectorField) -> VectorField:
@@ -144,13 +157,8 @@ def resolvent_direct(params: LameParams, z: complex, g: VectorField,
     _check_admissible(z, tau_z)
     lat = g.lattice
     d = lat.dim
-    xi = lat.frequency_grid.reshape(d, -1).T            # (npts, d)
-    xi2 = lat.frequency_norm2.reshape(-1)
-    mats = params.mu * xi2[:, None, None] * np.eye(d)
-    mats = mats + (params.lam + params.mu) * xi[:, :, None] * xi[:, None, :]
-    mats = mats - z * np.eye(d)
     ghat = forward_transform(g).values.reshape(d, -1).T  # (npts, d)
-    fhat = np.linalg.solve(mats, ghat[:, :, None])[:, :, 0]
+    fhat = np.linalg.solve(_shifted_symbols(params, lat, z), ghat[:, :, None])[:, :, 0]
     fhat = fhat.T.reshape((d,) + lat.shape)
     return inverse_transform(VectorField(lat, fhat))
 
@@ -161,16 +169,19 @@ def _laplacian_resolvent_values(lat: Lattice, w: complex, vhat: np.ndarray) -> n
 
 def resolvent_split(params: LameParams, z: complex, g: VectorField,
                     tau_z: float = DEFAULT_TAU_Z) -> VectorField:
-    """Resolvent via the Helmholtz splitting into scalar resolvents."""
+    """Resolvent via the Helmholtz splitting into scalar resolvents.
+
+    The Leray projection splits the Fourier coefficients of g directly, so
+    the route costs one forward and one inverse transform.
+    """
     _check_admissible(z, tau_z)
     lat = g.lattice
-    pair = helmholtz_decompose(g)
-    gs_hat = forward_transform(pair.solenoidal).values
-    gp_hat = forward_transform(pair.potential).values
+    ghat = forward_transform(g).values
+    gs_hat = leray_coefficients(lat, ghat)
     mu = params.mu
     lm = params.longitudinal
     out = _laplacian_resolvent_values(lat, z / mu, gs_hat) / mu
-    out = out + _laplacian_resolvent_values(lat, z / lm, gp_hat) / lm
+    out = out + _laplacian_resolvent_values(lat, z / lm, ghat - gs_hat) / lm
     return inverse_transform(VectorField(lat, out))
 
 

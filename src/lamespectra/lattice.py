@@ -27,6 +27,7 @@ __all__ = [
     "scalar_lp_norm",
     "vector_lp_norm",
     "l2_inner",
+    "l2_norm",
     "gradient_energy",
     "random_scalar_field",
     "random_vector_field",
@@ -337,6 +338,11 @@ def l2_inner(a, b) -> complex:
     """Quadrature L^2 inner product <a, b> with the h^dim weight."""
     _check_same_lattice(a, b)
     return complex(np.vdot(a.values, b.values) * a.lattice.cell_volume)
+
+
+def l2_norm(field) -> float:
+    """Quadrature L^2 norm sqrt(<f, f>)."""
+    return float(np.sqrt(l2_inner(field, field).real))
 
 
 def gradient_energy(field) -> float:

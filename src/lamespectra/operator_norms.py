@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import ScalarField, VectorField, l2_inner
+from .lattice import l2_norm
 
 __all__ = ["ConvergenceError", "singular_norm", "lp_operator_norm"]
 
@@ -21,10 +21,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, bracket: tuple):
         super().__init__(message)
         self.bracket = bracket
-
-
-def _l2(field) -> float:
-    return float(np.sqrt(l2_inner(field, field).real))
 
 
 def _rescale(field, c: float):
@@ -52,7 +48,7 @@ def singular_norm(apply_op, apply_adjoint, start, tol: float = 1e-10,
         last two estimates as a bracket.
     """
     v = start
-    nv = _l2(v)
+    nv = l2_norm(v)
     if nv == 0.0:
         raise ValueError("starting iterate is zero")
     v = _rescale(v, 1.0 / nv)
@@ -60,11 +56,11 @@ def singular_norm(apply_op, apply_adjoint, start, tol: float = 1e-10,
     sigma = 0.0
     for it in range(1, max_iter + 1):
         kv = apply_op(v)
-        sigma_new = _l2(kv)
+        sigma_new = l2_norm(kv)
         if sigma_new == 0.0:
             return 0.0
         w = apply_adjoint(kv)
-        nw = _l2(w)
+        nw = l2_norm(w)
         if nw == 0.0:
             return sigma_new
         v = _rescale(w, 1.0 / nw)

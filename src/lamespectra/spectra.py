@@ -19,14 +19,16 @@ from .lame import (
     DEFAULT_TAU_Z,
     LameParams,
     Potential,
+    _shifted_symbols,
     apply_perturbed,
     distance_to_ray,
+    lame_symbol,
     resolvent_split,
 )
 from .lattice import (
     Lattice,
     VectorField,
-    l2_inner,
+    l2_norm,
     random_vector_field,
 )
 from .norms import polynomial_weight
@@ -45,7 +47,6 @@ __all__ = [
     "dense_resolvent_matrix",
     "discrete_eigenvalues",
     "shift_invert_eigenvalues",
-    "bs_apply",
     "bs_norm",
     "bs_check",
     "resolvent_norm_estimate",
@@ -100,16 +101,6 @@ def _offset_matrix(lattice: Lattice, points: np.ndarray | None = None) -> np.nda
     return flat
 
 
-def _symbol_grid(params: LameParams, lattice: Lattice) -> np.ndarray:
-    """M(xi) on the grid, shape (dim, dim) + grid."""
-    xi = lattice.frequency_grid
-    xi2 = lattice.frequency_norm2
-    d = lattice.dim
-    sym = (params.lam + params.mu) * (xi[:, None] * xi[None, :])
-    sym = sym + params.mu * xi2 * np.eye(d).reshape((d, d) + (1,) * d)
-    return sym.astype(np.complex128)
-
-
 def _gather_blocks(tables: np.ndarray, flat_off: np.ndarray) -> np.ndarray:
     """Assemble the dense block matrix from kernel tables (d, d, *grid)."""
     d = tables.shape[0]
@@ -123,7 +114,7 @@ def dense_lame_matrix(params: LameParams, lattice: Lattice,
                       budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
     """Dense matrix of -Delta* in the component-major flat layout."""
     _check_budget(lattice.dim * lattice.npoints, budget_bytes, lattice.dim)
-    sym = _symbol_grid(params, lattice)
+    sym = lame_symbol(params, lattice.frequency_grid).astype(np.complex128)
     axes = tuple(range(2, 2 + lattice.dim))
     tables = np.fft.ifftn(sym, axes=axes)
     return _gather_blocks(tables, _offset_matrix(lattice))
@@ -145,12 +136,7 @@ def dense_operator_matrix(params: LameParams, V: Potential,
 def _inverse_symbol_tables(params: LameParams, z: complex, lattice: Lattice) -> np.ndarray:
     """Kernel tables of (M(xi) - z)^-1, shape (dim, dim) + grid."""
     d = lattice.dim
-    xi = lattice.frequency_grid.reshape(d, -1).T
-    xi2 = lattice.frequency_norm2.reshape(-1)
-    mats = params.mu * xi2[:, None, None] * np.eye(d)
-    mats = mats + (params.lam + params.mu) * xi[:, :, None] * xi[:, None, :]
-    mats = mats - z * np.eye(d)
-    inv = np.linalg.inv(mats)                                  # (npts, d, d)
+    inv = np.linalg.inv(_shifted_symbols(params, lattice, z))  # (npts, d, d)
     inv = np.moveaxis(inv, 0, 2).reshape((d, d) + lattice.shape)
     axes = tuple(range(2, 2 + lattice.dim))
     return np.fft.ifftn(np.ascontiguousarray(inv), axes=axes)
@@ -197,24 +183,21 @@ def _vector_from_flat(lattice: Lattice, vec: np.ndarray) -> VectorField:
     return VectorField(lattice, vec.reshape((lattice.dim,) + lattice.shape))
 
 
-def _field_l2(u: VectorField) -> float:
-    return float(np.sqrt(l2_inner(u, u).real))
-
-
 def _operator_residual(params: LameParams, V: Potential, z: complex, u: VectorField) -> float:
     r = apply_perturbed(params, V, u) - z * u
-    return _field_l2(r) / _field_l2(u)
+    return l2_norm(r) / l2_norm(u)
 
 
 def _package(params, V, lattice, pairs, tau_filter, tau_res, info) -> SpectralResult:
     kept = []
-    rejected = 0
+    by_distance = by_residual = 0
     for z, u in pairs:
         if distance_to_ray(z) <= tau_filter:
+            by_distance += 1
             continue
         res = _operator_residual(params, V, z, u)
         if res >= tau_res:
-            rejected += 1
+            by_residual += 1
             continue
         kept.append((z, res))
     kept.sort(key=lambda t: (t[0].real, t[0].imag))
@@ -229,7 +212,8 @@ def _package(params, V, lattice, pairs, tau_filter, tau_res, info) -> SpectralRe
             "dim": lattice.dim,
             "n": lattice.n,
             "period": lattice.period,
-            "rejected_by_residual": rejected,
+            "rejected_by_distance": by_distance,
+            "rejected_by_residual": by_residual,
         }
     )
     return SpectralResult(eigenvalues, residuals, distances, info)
@@ -356,11 +340,6 @@ class BSOperator:
         return left[:, None] * R * right[None, :]
 
 
-def bs_apply(K: BSOperator, g: VectorField) -> VectorField:
-    """Apply the Birman-Schwinger operator to a field."""
-    return K.apply(g)
-
-
 def bs_norm(params: LameParams, V: Potential, z: complex,
             tau_z: float = DEFAULT_TAU_Z, tol: float = 1e-10,
             max_iter: int = 5000, seed: int = 0) -> float:
@@ -376,7 +355,7 @@ def bs_norm(params: LameParams, V: Potential, z: complex,
     rng = np.random.default_rng(seed)
     start = random_vector_field(K.lattice, rng)
     start = VectorField(K.lattice, K.abs_half[None] * start.values)
-    if _field_l2(start) == 0.0:
+    if l2_norm(start) == 0.0:
         return 0.0
     return singular_norm(K.apply, K.apply_adjoint, start, tol=tol, max_iter=max_iter)
 

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from lamespectra.config import (
-    THREADS_ENV,
     ConfigError,
     lattice_from_config,
     load_config,
     params_from_config,
     potential_from_config,
-    thread_count,
 )
 from lamespectra.lattice import Lattice, ScalarField
 from lamespectra.serialize import scalar_to_csv
@@ -93,16 +91,3 @@ def test_potential_errors():
         potential_from_config(
             {"potential": {"family": "gaussian", "amplitude": 1.0, "widht": 0.5}}, lat
         )
-
-
-def test_thread_count(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert thread_count() >= 1
-    monkeypatch.setenv(THREADS_ENV, "4")
-    assert thread_count() == 4
-    monkeypatch.setenv(THREADS_ENV, "zero")
-    with pytest.raises(ConfigError, match="integer"):
-        thread_count()
-    monkeypatch.setenv(THREADS_ENV, "0")
-    with pytest.raises(ConfigError, match="positive"):
-        thread_count()

@@ -44,6 +44,13 @@ def test_symbol_eigenvalues():
             s = float(xi @ xi)
             expected = np.sort([params.mu * s] * (dim - 1) + [params.longitudinal * s])
             assert_allclose(ev, expected, rtol=1e-12)
+            # the grid form (d, *grid) gives the point form at every frequency
+            grid = rng.normal(size=(dim, 3, 4))
+            table = lame_symbol(params, grid)
+            assert table.shape == (dim, dim, 3, 4)
+            for idx in np.ndindex(3, 4):
+                point = lame_symbol(params, grid[(slice(None),) + idx])
+                assert_allclose(table[(slice(None), slice(None)) + idx], point, rtol=1e-14)
 
 
 def test_apply_lame_polarizations():
@@ -107,6 +114,30 @@ def test_resolvent_split_equals_direct(params):
         num = vector_lp_norm(a - b, 2.0)
         den = vector_lp_norm(b, 2.0)
         assert num / den < 1e-12
+
+
+def test_resolvent_split_uses_one_transform_pair(monkeypatch):
+    # every module that could reach the FFT counts into the same tally
+    import lamespectra.helmholtz
+    import lamespectra.lame
+    import lamespectra.lattice
+
+    counts = {"forward": 0, "inverse": 0}
+
+    def counted(kind, fn):
+        def wrapper(field):
+            counts[kind] += 1
+            return fn(field)
+        return wrapper
+
+    forward = counted("forward", lamespectra.lattice.forward_transform)
+    inverse = counted("inverse", lamespectra.lattice.inverse_transform)
+    for module in (lamespectra.lattice, lamespectra.helmholtz, lamespectra.lame):
+        monkeypatch.setattr(module, "forward_transform", forward)
+        monkeypatch.setattr(module, "inverse_transform", inverse)
+    g = random_vector_field(Lattice(2, 8), np.random.default_rng(6))
+    resolvent_split(LameParams(1.0, 1.0), -1.0 + 0.5j, g)
+    assert counts == {"forward": 1, "inverse": 1}
 
 
 def test_resolvent_inverts_operator():

@@ -10,7 +10,6 @@ from lamespectra.potentials import gaussian_bump, square_well
 from lamespectra.spectra import (
     BSOperator,
     BudgetExceeded,
-    bs_apply,
     bs_check,
     bs_norm,
     default_tau_filter,
@@ -100,7 +99,9 @@ def test_free_operator_has_no_discrete_eigenvalues():
     V = Potential.from_array(lat, np.zeros(32))
     res = discrete_eigenvalues(LameParams(1.0, 1.0), V)
     assert len(res) == 0
-    assert res.solver_info["method"] == "dense"
+    info = res.solver_info
+    assert info["method"] == "dense"
+    assert info["rejected_by_distance"] + info["rejected_by_residual"] == info["matrix_order"]
 
 
 def test_well_eigenvalues_match_shooting_oracle():
@@ -137,8 +138,12 @@ def test_result_invariants_and_dict():
     assert np.all(np.diff(res.eigenvalues.real) >= 0)
     d = res.to_dict()
     assert len(d["eigenvalues"]) == len(res)
-    assert d["solver_info"]["tau_filter"] == tau_filter
-    assert d["solver_info"]["n"] == 128
+    info = d["solver_info"]
+    assert info["tau_filter"] == tau_filter
+    assert info["n"] == 128
+    # every candidate is kept or rejected by exactly one filter
+    rejected = info["rejected_by_distance"] + info["rejected_by_residual"]
+    assert len(res) + rejected == info["matrix_order"]
 
 
 def test_shift_invert_matches_dense():
@@ -170,8 +175,8 @@ def test_bs_bilinearity_in_potential():
     K2 = BSOperator(WELL_PARAMS, W, z)
     rng = np.random.default_rng(2)
     g = random_vector_field(V.lattice, rng)
-    a = bs_apply(K2, g).values
-    b = 2.0 * bs_apply(K1, g).values
+    a = K2.apply(g).values
+    b = 2.0 * K1.apply(g).values
     assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-12
     assert np.max(np.abs(K2.dense_matrix() - 2.0 * K1.dense_matrix())) < 1e-12
 
