@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -246,18 +247,22 @@ def cmd_norms(cfg: dict, args) -> int:
     requests = cfg.get("norms")
     if not isinstance(requests, list) or not requests:
         raise ConfigError("config needs a non-empty 'norms' list")
+    budget_bytes = _solver_kwargs(cfg)["budget_bytes"]
     entries = []
+    seconds = []
     for req in requests:
         if not isinstance(req, dict) or "name" not in req:
             raise ConfigError(f"each norms entry needs a 'name', got {req!r}")
         kwargs = {k: float(v) for k, v in req.items() if k != "name"}
+        start = time.perf_counter()
         try:
-            res = norm_result(req["name"], V, **kwargs)
+            res = norm_result(req["name"], V, budget_bytes=budget_bytes, **kwargs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        seconds.append(time.perf_counter() - start)
         entries.append(res.to_dict())
     write_report({"norms": entries}, out / "norms.json")
-    write_metadata(out / "norms.json")
+    write_metadata(out / "norms.json", extra={"norm_seconds": seconds})
     print(f"norms: {len(entries)} computed")
     return EXIT_OK
 

@@ -212,11 +212,12 @@ def bound_1d_radius(params: LameParams, V: Potential) -> float:
     return (lp_norm(V, 1.0) / (2.0 * np.sqrt(params.longitudinal))) ** 2
 
 
-def bound_rhs(spec: BoundSpec, params: LameParams, V: Potential) -> float:
+def bound_rhs(spec: BoundSpec, params: LameParams, V: Potential,
+              budget_bytes: int = DEFAULT_BUDGET_BYTES) -> float:
     """Right-hand side of |z|^gamma <= C * rhs for the requested bound.
 
     T1d includes its explicit constant (so C = 1 there); the others return
-    the bare norm power.
+    the bare norm power.  ``budget_bytes`` bounds the Kerman-Sayer scan.
     """
     dim = V.lattice.dim
     spec.validate(dim, V)
@@ -230,7 +231,7 @@ def bound_rhs(spec: BoundSpec, params: LameParams, V: Potential) -> float:
     if spec.theorem == "T_KS":
         beta = spec.ks_beta(dim)
         Vb = Potential.from_array(V.lattice, np.abs(V.values) ** beta)
-        return kerman_sayer_norm(Vb, spec.ks_alpha(dim)) ** (q / beta)
+        return kerman_sayer_norm(Vb, spec.ks_alpha(dim), budget_bytes=budget_bytes) ** (q / beta)
     if spec.theorem == "T_W":
         qw = spec.weighted_q(dim)
         return weighted_lq_norm(V, qw, spec.alpha) ** qw
@@ -459,7 +460,7 @@ def calibrate_constant(spec: BoundSpec, ensemble, tau_filter: float | None = Non
     best = None
     for i, (params, V) in enumerate(ensemble):
         spec.validate(V.lattice.dim, V)
-        rhs = bound_rhs(spec, params, V)
+        rhs = bound_rhs(spec, params, V, budget_bytes=budget_bytes)
         entry = {"index": i, "rhs": float(rhs), "n_eigenvalues": 0, "best_ratio": None}
         if record_a2:
             w = ScalarField(V.lattice, np.abs(V.values))

@@ -18,6 +18,8 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "DEFAULT_BUDGET_BYTES",
+    "BudgetExceeded",
     "Lattice",
     "ScalarField",
     "VectorField",
@@ -34,6 +36,11 @@ __all__ = [
 ]
 
 DEFAULT_POINTS = {1: 128, 2: 64, 3: 32}
+DEFAULT_BUDGET_BYTES = 512 * 1024**2
+
+
+class BudgetExceeded(RuntimeError):
+    """A dense matrix or an N x N scan would blow the memory budget."""
 
 
 @dataclass(frozen=True)
@@ -318,8 +325,12 @@ def apply_multiplier(m, field):
 # -- quadrature norms ---------------------------------------------------------
 
 
-def scalar_lp_norm(field: ScalarField, p: float) -> float:
-    """Discrete L^p norm (sum |f|^p h^dim)^(1/p); p >= 1."""
+def scalar_lp_norm(field, p: float) -> float:
+    """Discrete L^p norm (sum |f|^p h^dim)^(1/p) of any field's values; p >= 1.
+
+    A vector field's components enter one sum together, which rounds
+    differently from :func:`vector_lp_norm`'s per-component sums.
+    """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     w = np.abs(field.values) ** p

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import l2_norm
+from .lattice import l2_norm, scalar_lp_norm
 
 __all__ = ["ConvergenceError", "singular_norm", "lp_operator_norm"]
 
@@ -81,11 +81,6 @@ def _duality_map(values: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _lp(field, p: float) -> float:
-    w = np.abs(field.values) ** p
-    return float(np.sum(w) * field.lattice.cell_volume) ** (1.0 / p)
-
-
 def lp_operator_norm(apply_op, apply_adjoint, start, p: float, q: float,
                      n_iter: int = 40, tol: float = 1e-8) -> float:
     """Lower estimate of the L^p -> L^q operator norm by Boyd's iteration.
@@ -100,27 +95,27 @@ def lp_operator_norm(apply_op, apply_adjoint, start, p: float, q: float,
     cls = type(start)
     lattice = start.lattice
     x = start
-    nx = _lp(x, p)
+    nx = scalar_lp_norm(x, p)
     if nx == 0.0:
         raise ValueError("starting iterate is zero")
     x = _rescale(x, 1.0 / nx)
     best = 0.0
     for _ in range(n_iter):
         y = apply_op(x)
-        gamma = _lp(y, q)
+        gamma = scalar_lp_norm(y, q)
         if gamma == 0.0:
             break
         best = max(best, gamma)
         z = apply_adjoint(cls(lattice, _duality_map(y.values, q)))
         xv = _duality_map(z.values, p_dual)
         x_new = cls(lattice, xv)
-        nx = _lp(x_new, p)
+        nx = scalar_lp_norm(x_new, p)
         if nx == 0.0:
             break
         x_new = _rescale(x_new, 1.0 / nx)
-        if _lp(x_new - x, p) <= tol:
+        if scalar_lp_norm(x_new - x, p) <= tol:
             x = x_new
-            best = max(best, _lp(apply_op(x), q))
+            best = max(best, scalar_lp_norm(apply_op(x), q))
             break
         x = x_new
     return best

@@ -26,6 +26,8 @@ from .lame import (
     resolvent_split,
 )
 from .lattice import (
+    DEFAULT_BUDGET_BYTES,
+    BudgetExceeded,
     Lattice,
     VectorField,
     l2_norm,
@@ -51,12 +53,6 @@ __all__ = [
     "bs_check",
     "resolvent_norm_estimate",
 ]
-
-DEFAULT_BUDGET_BYTES = 512 * 1024**2
-
-
-class BudgetExceeded(RuntimeError):
-    """Dense assembly would blow the memory budget."""
 
 
 def spectral_width(params: LameParams, lattice: Lattice) -> float:

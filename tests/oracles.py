@@ -42,6 +42,67 @@ def mc_norm_brute(V, alpha, p):
     return best
 
 
+def mc_norm_loop(V, alpha, p):
+    """Morrey-Campanato (value, witness) by a loop over centers, radii inner.
+
+    Each ball sum is np.sum of the masked |V|^p in row-major order, and the
+    witness is the first candidate reaching the maximum.
+    """
+    lat = V.lattice
+    d, h = lat.dim, lat.spacing
+    W = (np.abs(V.values) ** p).reshape(-1)
+    idx = np.indices(lat.shape).reshape(d, -1).T
+    exponents = []
+    j = 0
+    while 2**j <= lat.n // 2:
+        exponents.append(j)
+        j += 1
+    best = 0.0
+    best_witness = None
+    for c in range(idx.shape[0]):
+        diff = idx - idx[c]
+        m = np.sum(diff * diff, axis=1)
+        for j in exponents:
+            integral = np.sum(W[m <= 4**j]) * h**d
+            r = h * float(2**j)
+            cand = r**alpha * (integral / r**d) ** (1.0 / p)
+            if cand > best:
+                best = cand
+                best_witness = {"center": [int(v) for v in idx[c]], "radius_exponent": j}
+    return best, best_witness
+
+
+def ks_norm_dense(V, alpha, eps_mass=0.0):
+    """Kerman-Sayer (value, witness) with a dense kernel matrix per cube.
+
+    The kernel comes from the full (N, N, dim) array of index differences
+    with one vectorized power; the numerator is the dense product summed
+    by one np.sum.
+    """
+    lat = V.lattice
+    d, h = lat.dim, lat.spacing
+    absV = np.abs(np.asarray(V.values))
+    best = 0.0
+    best_witness = None
+    for level, corner, side in dyadic_cubes_brute(lat.n, d):
+        w = absV[tuple(slice(c, c + side) for c in corner)].flatten()
+        mass = np.sum(w) * h**d
+        if not mass > eps_mass:
+            continue
+        idx = np.indices((side,) * d).reshape(d, -1).T
+        diff = idx[:, None, :] - idx[None, :, :]
+        m = np.sum(diff * diff, axis=2)
+        kern = np.zeros(m.shape)
+        off = m > 0
+        kern[off] = (h * np.sqrt(m[off])) ** (alpha - d)
+        num = np.sum((w[:, None] * w[None, :]) * kern * h ** (2 * d))
+        cand = float(num / mass)
+        if cand > best:
+            best = cand
+            best_witness = {"level": level, "corner": list(corner), "side": side}
+    return best, best_witness
+
+
 def dyadic_cubes_brute(n, dim):
     """(level, corner, side) triples: whole cell halved while sides stay even."""
     levels = [0]

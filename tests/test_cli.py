@@ -1,6 +1,8 @@
 import csv
 import json
 import textwrap
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +157,72 @@ def test_norms_command(tmp_path):
     assert [e["norm_name"] for e in doc["norms"]] == ["lp", "morrey_campanato"]
     assert all(e["value"] > 0.0 for e in doc["norms"])
     assert doc["norms"][1]["witness"]["radius_exponent"] >= 0
+
+
+def test_norms_sidecar_times_each_entry(tmp_path):
+    cfg = _write(
+        tmp_path,
+        """
+        lattice: {dim: 2, points: 16}
+        potential: {family: gaussian, amplitude: -4.0, width: 0.7}
+        norms:
+          - {name: lp, p: 2.0}
+          - {name: morrey_campanato, alpha: 0.5, p: 1.0}
+          - {name: kerman_sayer, alpha: 1.0}
+        """,
+    )
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["norms", "-c", cfg, "-o", str(out1)]) == 0
+    assert main(["norms", "-c", cfg, "-o", str(out2)]) == 0
+    assert (out1 / "norms.json").read_bytes() == (out2 / "norms.json").read_bytes()
+    meta = _json(out1, "norms.json.meta.json")
+    assert len(meta["norm_seconds"]) == len(_json(out1, "norms.json")["norms"]) == 3
+    assert all(isinstance(t, float) and t >= 0.0 for t in meta["norm_seconds"])
+
+
+def test_norms_ks_budget_exit_code(tmp_path, capsys):
+    # 3d n=32: the N x N scan would need ~8.6 GB; the guard refuses up front
+    cfg = _write(
+        tmp_path,
+        """
+        lattice: {dim: 3, points: 32}
+        potential: {family: gaussian, amplitude: -4.0, width: 0.7}
+        norms:
+          - {name: kerman_sayer, alpha: 1.0}
+        """,
+    )
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["norms", "-c", cfg, "-o", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert time.perf_counter() - start < 2.0
+    assert peak < 32 * 1024**2
+    err = capsys.readouterr().err
+    assert "N = 32768 cells needs" in err
+    assert "budget is 537 MB" in err
+
+
+def test_calibrate_ks_scan_honours_budget(tmp_path, capsys):
+    # the right-hand side is computed before the dense solve, so the KS scan
+    # must refuse first rather than allocate past the configured budget
+    cfg = _write(
+        tmp_path,
+        """
+        lattice: {dim: 2, points: 32}
+        material: {lambda: 0.5, mu: 1.0}
+        solver: {budget_bytes: 5000000}
+        calibrate:
+          theorem: T_KS
+          gamma: 0.4
+          ensemble: {family: gaussian, size: 1}
+        """,
+    )
+    assert main(["calibrate", "-c", cfg, "-o", str(tmp_path / "o")]) == 4
+    assert "Kerman-Sayer scan over N = 1024 cells" in capsys.readouterr().err
 
 
 def test_norms_requires_list(tmp_path):

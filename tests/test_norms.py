@@ -1,13 +1,26 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ap_constant_brute, dyadic_cubes_brute, ks_norm_brute, mc_norm_brute
+from oracles import (
+    ap_constant_brute,
+    dyadic_cubes_brute,
+    ks_norm_brute,
+    ks_norm_dense,
+    mc_norm_brute,
+    mc_norm_loop,
+)
+from lamespectra.config import lattice_from_config, potential_from_config
 from lamespectra.lame import Potential
-from lamespectra.lattice import Lattice, ScalarField
+from lamespectra.lattice import BudgetExceeded, Lattice, ScalarField
 from lamespectra.norms import (
     DyadicCube,
+    _ks_bytes,
     ap_cube_value,
     dyadic_cubes,
     dyadic_level_max,
@@ -141,8 +154,9 @@ def test_mc_validation():
 @pytest.mark.parametrize("dim,n", [(1, 8), (2, 4), (2, 8)])
 @pytest.mark.parametrize("alpha", [0.5, 0.9])
 def test_ks_norm_matches_brute(dim, n, alpha):
-    # The library kernel uses one vectorized power; the oracle raises each
-    # pair separately.  Those libm paths may differ in the last ulp, so the
+    # The library kernel is table-built: one vectorized power per offset,
+    # gathered into the pairs; the oracle raises each pair separately as a
+    # scalar.  Those libm paths may differ in the last ulp, so the
     # comparison allows rounding noise but nothing more.
     V = _random_potential(dim, n, seed=200 * dim + n)
     assert kerman_sayer_norm(V, alpha) == pytest.approx(
@@ -188,6 +202,105 @@ def test_ks_validation():
     for bad in (0.0, 1.0, 2.0):
         with pytest.raises(ValueError):
             kerman_sayer_norm(V, bad)
+
+
+def test_ks_budget_model_bounds_traced_peak():
+    V = _random_potential(2, 32, 22)
+    need = _ks_bytes(V.lattice)
+    tracemalloc.start()
+    try:
+        kerman_sayer_norm(V, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the model bounds the real peak and is not loose: it is what the guard checks
+    assert 0.8 * need <= peak <= need
+    with pytest.raises(BudgetExceeded, match=r"N = 1024 cells needs"):
+        kerman_sayer_norm(V, 0.5, budget_bytes=need - 1)
+
+
+# -- scans against their loop oracles ----------------------------------------
+
+
+def _centred_gaussian(dim, n):
+    # Centred between grid points with exactly representable offsets, so
+    # mirror-image balls and cubes hold the same values: the MC and A_p
+    # maxima are reached by several candidates exactly.
+    lat = Lattice(dim, n)
+    r2 = np.sum((np.indices(lat.shape) - (n - 1) / 2) ** 2, axis=0)
+    return Potential.from_array(lat, -3.0 * np.exp(-0.2 * r2))
+
+
+def _square_well(dim, n, half_width, depth=-4.0):
+    # At depth -4, |V|^p is an integer for p = 1 and 1.5, so equal balls tie
+    # exactly; at other depths their sums round differently by position.
+    lat = Lattice(dim, n)
+    vals = np.zeros(lat.shape)
+    vals[(slice(n // 2 - half_width, n // 2 + half_width),) * dim] = depth
+    return Potential.from_array(lat, vals)
+
+
+SCAN_FIXTURES = {
+    "gaussian-2d-16": lambda: _centred_gaussian(2, 16),
+    "gaussian-3d-8": lambda: _centred_gaussian(3, 8),
+    "well-2d-16": lambda: _square_well(2, 16, 4),
+    "well-2d-16-inexact": lambda: _square_well(2, 16, 4, depth=-3.7),
+    "well-2d-16-narrow": lambda: _square_well(2, 16, 1),
+    "zero-2d-8": lambda: Potential.from_array(Lattice(2, 8), np.zeros((8, 8))),
+    "random-2d-32": lambda: _random_potential(2, 32, 23),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
+def test_mc_scan_matches_loop_oracle(name):
+    # alpha = dim/p gives every ball that holds all of a compact V the same
+    # exact value; a narrow well has such balls at several radii
+    V = SCAN_FIXTURES[name]()
+    d = V.lattice.dim
+    for alpha, p in [(1.0, 1.5), (0.5, 1.0), (d / 1.5, 1.5), (d, 1.0)]:
+        assert morrey_campanato_norm(V, alpha, p, return_witness=True) == mc_norm_loop(V, alpha, p)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
+def test_ks_scan_matches_dense_oracle(name):
+    V = SCAN_FIXTURES[name]()
+    for alpha in (0.5, 1.0):
+        assert kerman_sayer_norm(V, alpha, return_witness=True) == ks_norm_dense(V, alpha)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_symmetric_gaussian_mc_maximum_is_tied(dim, n):
+    # the fixture really exercises the witness tie-break
+    V = _centred_gaussian(dim, n)
+    value, witness = mc_norm_loop(V, 1.0, 1.5)
+    tied = [
+        (list(c), j)
+        for c in np.ndindex(V.lattice.shape)
+        for j in dyadic_radius_exponents(V.lattice)
+        if mc_ball_value(V, 1.0, 1.5, c, j) == value
+    ]
+    assert len(tied) > 1
+    assert tied[0] == (witness["center"], witness["radius_exponent"])
+
+
+# -- full-size benchmark entries ---------------------------------------------
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "norm_scan.json"
+
+
+@pytest.mark.filterwarnings("ignore:weight vanishes")
+@pytest.mark.parametrize("key", ["norms-gaussian-2d-0", "norms-well-3d-0"])
+def test_full_size_pool_entry_bitwise(key):
+    # 2d n=64 and 3d n=16: the sizes where the MC screen and the KS table
+    # do real work, against the values and witnesses recorded for them
+    entry = json.loads(POOL.read_text())["sizes"]["full"]["entries"][key]
+    cfg = entry["config"]
+    V = potential_from_config(cfg, lattice_from_config(cfg))
+    got = []
+    for req in cfg["norms"]:
+        kwargs = {k: float(v) for k, v in req.items() if k != "name"}
+        got.append(norm_result(req["name"], V, **kwargs).to_dict())
+    assert got == entry["expected"]["norms"]
 
 
 # -- Muckenhoupt -------------------------------------------------------------
@@ -243,6 +356,20 @@ def test_ap_witness_reproduces_value():
     value, witness = muckenhoupt_constant(w, 2.0, return_witness=True)
     cube = DyadicCube(witness["level"], tuple(witness["corner"]), witness["side"])
     assert ap_cube_value(w, 2.0, cube) == value
+
+
+def test_ap_witness_symmetric_weight_tie():
+    # mirror-symmetric weight: the whole cell and its four quadrants tie, and
+    # the witness is the first of them in coarse-to-fine, row-major order
+    lat = Lattice(2, 8)
+    r2 = np.sum((np.indices((8, 8)) - 3.5) ** 2, axis=0)
+    w = ScalarField(lat, (1.0 + r2).astype(complex))
+    value, witness = muckenhoupt_constant(w, 2.0, return_witness=True)
+    cands = [(ap_cube_value(w, 2.0, cube), cube) for cube in dyadic_cubes(lat)]
+    tied = [cube for v, cube in cands if v == value]
+    assert value == max(v for v, _ in cands)
+    assert len(tied) > 1
+    assert witness == tied[0].to_dict()
 
 
 # -- dispatcher --------------------------------------------------------------
