@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .lattice import (
     Lattice,
     ScalarField,
     VectorField,
+    _adopt,
+    _frequency_dot,
     apply_multiplier,
     forward_transform,
     inverse_transform,
@@ -29,6 +32,7 @@ from .operator_norms import lp_operator_norm
 __all__ = [
     "HelmholtzPair",
     "riesz_transform",
+    "potential_amplitude",
     "leray_coefficients",
     "leray_project",
     "helmholtz_decompose",
@@ -56,12 +60,17 @@ def riesz_transform(axis: int, phi: ScalarField) -> ScalarField:
     return apply_multiplier(_riesz_symbol(phi.lattice, axis), phi)
 
 
+def potential_amplitude(lattice: Lattice, fhat: np.ndarray) -> np.ndarray:
+    """q = (xi . fhat) / |xi|^2, 0 at xi = 0; xi q is the potential part of fhat."""
+    xi2 = lattice.frequency_norm2
+    q = _frequency_dot(lattice, fhat)
+    return np.divide(q, xi2, out=q, where=xi2 > 0.0)  # xi . fhat is 0 at xi = 0
+
+
 def leray_coefficients(lattice: Lattice, fhat: np.ndarray) -> np.ndarray:
     """Leray projection of Fourier coefficients (dim, *grid); identity at xi = 0."""
-    xi = lattice.frequency_grid
-    xi2 = lattice.frequency_norm2
-    denom = np.where(xi2 > 0.0, xi2, 1.0)
-    return fhat - xi * (np.sum(xi * fhat, axis=0) / denom)[None]
+    out = np.multiply(lattice.frequency_grid, potential_amplitude(lattice, fhat))
+    return np.subtract(fhat, out, out=out)
 
 
 def leray_project(f: VectorField) -> VectorField:
@@ -70,7 +79,7 @@ def leray_project(f: VectorField) -> VectorField:
     Projects the coefficients between one forward and one inverse transform.
     """
     fhat = leray_coefficients(f.lattice, forward_transform(f).values)
-    return inverse_transform(VectorField(f.lattice, fhat))
+    return inverse_transform(_adopt(VectorField, f.lattice, fhat))
 
 
 @dataclass(frozen=True)
@@ -123,22 +132,14 @@ def riesz_empirical_norm(lattice: Lattice, axis: int, p: float, samples: int = 8
     if not 0 <= axis < lattice.dim:
         raise ValueError(f"axis {axis} out of range for dim {lattice.dim}")
     sym = _riesz_symbol(lattice, axis)
-    sym_adj = np.conj(sym)
-
-    def op(f):
-        return apply_multiplier(sym, f)
-
-    def op_adj(f):
-        return apply_multiplier(sym_adj, f)
-
+    op = partial(apply_multiplier, sym)
+    op_adj = partial(apply_multiplier, np.conj(sym))
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(samples):
         start = random_scalar_field(lattice, rng)
         best = max(best, lp_operator_norm(op, op_adj, start, p, p, n_iter=n_iter))
-    witness = _axis_mode(lattice, axis)
-    best = max(best, lp_operator_norm(op, op_adj, witness, p, p, n_iter=2))
-    return best
+    return max(best, lp_operator_norm(op, op_adj, _axis_mode(lattice, axis), p, p, n_iter=2))
 
 
 def divergence(f: VectorField) -> ScalarField:
@@ -146,11 +147,11 @@ def divergence(f: VectorField) -> ScalarField:
     xi = f.lattice.frequency_grid
     fhat = forward_transform(f).values
     div_hat = np.sum(1j * xi * fhat, axis=0)
-    return inverse_transform(ScalarField(f.lattice, div_hat))
+    return inverse_transform(_adopt(ScalarField, f.lattice, div_hat))
 
 
 def gradient(phi: ScalarField) -> VectorField:
     """Spectral gradient of a scalar field."""
     xi = phi.lattice.frequency_grid
     phat = forward_transform(phi).values
-    return inverse_transform(VectorField(phi.lattice, 1j * xi * phat[None]))
+    return inverse_transform(_adopt(VectorField, phi.lattice, 1j * xi * phat[None]))

@@ -16,11 +16,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .helmholtz import leray_coefficients
+from .helmholtz import potential_amplitude
 from .lattice import (
     Lattice,
     ScalarField,
     VectorField,
+    _adopt,
+    _frequency_dot,
     forward_transform,
     inverse_transform,
 )
@@ -144,11 +146,12 @@ def _shifted_symbols(params: LameParams, lattice: Lattice, z: complex) -> np.nda
 def apply_lame(params: LameParams, u: VectorField) -> VectorField:
     """Apply -Delta* spectrally: mu |xi|^2 uhat + (lam+mu) xi (xi . uhat)."""
     lat = u.lattice
-    xi = lat.frequency_grid
     uhat = forward_transform(u).values
-    out = params.mu * lat.frequency_norm2[None] * uhat
-    out += (params.lam + params.mu) * xi * np.sum(xi * uhat, axis=0)[None]
-    return inverse_transform(VectorField(lat, out))
+    div = _frequency_dot(lat, uhat)
+    out = params.mu * lat.frequency_norm2 * uhat
+    for k, xi_k in enumerate(lat.frequency_grid):
+        out[k] += (params.lam + params.mu) * xi_k * div
+    return inverse_transform(_adopt(VectorField, lat, out))
 
 
 def resolvent_direct(params: LameParams, z: complex, g: VectorField,
@@ -163,26 +166,27 @@ def resolvent_direct(params: LameParams, z: complex, g: VectorField,
     return inverse_transform(VectorField(lat, fhat))
 
 
-def _laplacian_resolvent_values(lat: Lattice, w: complex, vhat: np.ndarray) -> np.ndarray:
-    return vhat / (lat.frequency_norm2 - w)
-
-
 def resolvent_split(params: LameParams, z: complex, g: VectorField,
                     tau_z: float = DEFAULT_TAU_Z) -> VectorField:
     """Resolvent via the Helmholtz splitting into scalar resolvents.
 
-    The Leray projection splits the Fourier coefficients of g directly, so
-    the route costs one forward and one inverse transform.
+    With ghat = gs + gp (gp = xi q, the potential part) it forms
+    gs / (mu |xi|^2 - z) + gp / ((lam + 2 mu) |xi|^2 - z) in place, as
+    ghat / (mu |xi|^2 - z) plus gp times the two resolvents' difference.  One
+    forward and one inverse transform; ``g`` is untouched, the result read-only.
     """
     _check_admissible(z, tau_z)
     lat = g.lattice
+    xi2 = lat.frequency_norm2
     ghat = forward_transform(g).values
-    gs_hat = leray_coefficients(lat, ghat)
-    mu = params.mu
-    lm = params.longitudinal
-    out = _laplacian_resolvent_values(lat, z / mu, gs_hat) / mu
-    out = out + _laplacian_resolvent_values(lat, z / lm, ghat - gs_hat) / lm
-    return inverse_transform(VectorField(lat, out))
+    q = potential_amplitude(lat, ghat)
+    shear = np.reciprocal(params.mu * xi2 - z)
+    q *= np.reciprocal(params.longitudinal * xi2 - z) - shear
+    out = ghat * shear
+    del ghat  # frees the coefficients before the inverse transform allocates
+    for k, xi_k in enumerate(lat.frequency_grid):
+        out[k] += xi_k * q
+    return inverse_transform(_adopt(VectorField, lat, out))
 
 
 def apply_perturbed(params: LameParams, V: Potential, u: VectorField) -> VectorField:
@@ -190,4 +194,4 @@ def apply_perturbed(params: LameParams, V: Potential, u: VectorField) -> VectorF
     if V.lattice != u.lattice:
         raise ValueError("potential and field live on different lattices")
     out = apply_lame(params, u)
-    return VectorField(u.lattice, out.values + V.values[None] * u.values)
+    return _adopt(VectorField, u.lattice, out.values + V.values[None] * u.values)

@@ -135,57 +135,76 @@ def _as_field_array(values, shape) -> np.ndarray:
     return arr
 
 
+def _adopt(cls, lattice: Lattice, values: np.ndarray):
+    """Wrap a complex array the library has just allocated, without a copy; freezes it."""
+    shape = cls._shape(lattice)
+    if values.shape != shape or values.dtype != np.complex128:
+        raise ValueError(f"values are {values.dtype} {values.shape}, expected complex128 {shape}")
+    values.setflags(write=False)
+    field = object.__new__(cls)
+    object.__setattr__(field, "lattice", lattice)
+    object.__setattr__(field, "values", values)
+    return field
+
+
+class _Field:
+    """Construction and arithmetic shared by the two field types."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _as_field_array(self.values, self._shape(self.lattice)))
+
+    @classmethod
+    def zeros(cls, lattice: Lattice):
+        return cls(lattice, np.zeros(cls._shape(lattice)))
+
+    def __add__(self, other):
+        _check_same_lattice(self, other)
+        return _adopt(type(self), self.lattice, self.values + other.values)
+
+    def __sub__(self, other):
+        _check_same_lattice(self, other)
+        return _adopt(type(self), self.lattice, self.values - other.values)
+
+    def __mul__(self, c):
+        return _adopt(type(self), self.lattice, self.values * c)
+
+    __rmul__ = __mul__
+
+
 @dataclass(frozen=True)
-class ScalarField:
-    """Complex scalar samples on a lattice.  Immutable after construction."""
+class ScalarField(_Field):
+    """Complex scalar samples on a lattice; copied and read-only as in :class:`VectorField`."""
 
     lattice: Lattice
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_field_array(self.values, self.lattice.shape))
-
-    @classmethod
-    def zeros(cls, lattice: Lattice) -> "ScalarField":
-        return cls(lattice, np.zeros(lattice.shape))
+    @staticmethod
+    def _shape(lattice: Lattice) -> tuple:
+        return lattice.shape
 
     @classmethod
     def from_function(cls, lattice: Lattice, fn, centered: bool = False) -> "ScalarField":
         """Sample ``fn`` on the grid; fn takes the (dim, ...) coordinate array."""
         return cls(lattice, fn(lattice.coordinates(centered=centered)))
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_lattice(self, other)
-        return ScalarField(self.lattice, self.values + other.values)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_lattice(self, other)
-        return ScalarField(self.lattice, self.values - other.values)
-
-    def __mul__(self, c) -> "ScalarField":
-        return ScalarField(self.lattice, self.values * c)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_Field):
     """Complex vector samples, one component per spatial axis.
 
     Stored as a single array of shape (dim, n, ..., n); ``component`` views
-    single components as ScalarFields on the shared lattice.
+    single components as ScalarFields on the shared lattice.  The constructor
+    copies ``values`` into a read-only complex array, so later writes to the
+    caller's array never reach the field.  Arithmetic results and transforms
+    wrap the arrays they compute without a second copy, also read-only.
     """
 
     lattice: Lattice
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        shape = (self.lattice.dim,) + self.lattice.shape
-        object.__setattr__(self, "values", _as_field_array(self.values, shape))
-
-    @classmethod
-    def zeros(cls, lattice: Lattice) -> "VectorField":
-        return cls(lattice, np.zeros((lattice.dim,) + lattice.shape))
+    @staticmethod
+    def _shape(lattice: Lattice) -> tuple:
+        return (lattice.dim,) + lattice.shape
 
     @classmethod
     def from_components(cls, components) -> "VectorField":
@@ -196,7 +215,7 @@ class VectorField:
                 raise ValueError("components live on different lattices")
         if len(components) != lattice.dim:
             raise ValueError(f"need {lattice.dim} components, got {len(components)}")
-        return cls(lattice, np.stack([c.values for c in components]))
+        return _adopt(cls, lattice, np.stack([c.values for c in components]))
 
     def component(self, axis: int) -> ScalarField:
         return ScalarField(self.lattice, self.values[axis])
@@ -204,19 +223,6 @@ class VectorField:
     @property
     def components(self) -> tuple:
         return tuple(self.component(j) for j in range(self.lattice.dim))
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _check_same_lattice(self, other)
-        return VectorField(self.lattice, self.values + other.values)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _check_same_lattice(self, other)
-        return VectorField(self.lattice, self.values - other.values)
-
-    def __mul__(self, c) -> "VectorField":
-        return VectorField(self.lattice, self.values * c)
-
-    __rmul__ = __mul__
 
 
 def _check_same_lattice(a, b) -> None:
@@ -236,22 +242,28 @@ def forward_transform(field):
     """Fourier coefficients of a field, as a field-shaped object.
 
     The returned object has the same type as the input; its ``values`` hold
-    the coefficients indexed by FFT-ordered frequency.
+    the coefficients indexed by FFT-ordered frequency, in one fresh array.
     """
-    scale = _forward_scale(field.lattice)
-    axes = tuple(range(-field.lattice.dim, 0))
-    if isinstance(field, ScalarField):
-        return ScalarField(field.lattice, np.fft.fftn(field.values, axes=axes) * scale)
-    return VectorField(field.lattice, np.fft.fftn(field.values, axes=axes) * scale)
+    out = np.empty_like(field.values)
+    np.fft.fftn(field.values, axes=tuple(range(-field.lattice.dim, 0)), out=out)
+    out *= _forward_scale(field.lattice)
+    return _adopt(type(field), field.lattice, out)
 
 
 def inverse_transform(field):
     """Inverse of :func:`forward_transform`; round trip is identity to roundoff."""
-    scale = _forward_scale(field.lattice)
-    axes = tuple(range(-field.lattice.dim, 0))
-    if isinstance(field, ScalarField):
-        return ScalarField(field.lattice, np.fft.ifftn(field.values / scale, axes=axes))
-    return VectorField(field.lattice, np.fft.ifftn(field.values / scale, axes=axes))
+    out = field.values / _forward_scale(field.lattice)
+    np.fft.ifftn(out, axes=tuple(range(-field.lattice.dim, 0)), out=out)
+    return _adopt(type(field), field.lattice, out)
+
+
+def _frequency_dot(lattice: Lattice, fhat: np.ndarray) -> np.ndarray:
+    """xi . fhat on the grid for coefficients (dim, *grid), summed axis by axis."""
+    xi = lattice.frequency_grid
+    out = xi[0] * fhat[0]
+    for k in range(1, lattice.dim):
+        out += xi[k] * fhat[k]
+    return out
 
 
 def _evaluate_symbol(m, lattice: Lattice, matrix: bool) -> np.ndarray:
@@ -261,17 +273,12 @@ def _evaluate_symbol(m, lattice: Lattice, matrix: bool) -> np.ndarray:
     precomputed array.  Scalar symbols have the grid shape; matrix symbols
     carry trailing (dim, dim) axes.
     """
-    d = lattice.dim
+    expect = lattice.shape + ((lattice.dim,) * 2 if matrix else ())
     if callable(m):
-        sym_shape = lattice.shape + (d, d) if matrix else lattice.shape
-        sym = np.empty(sym_shape, dtype=np.complex128)
         freq = lattice.frequency_grid
-        for idx in np.ndindex(lattice.shape):
-            xi = freq[(slice(None),) + idx]
-            sym[idx] = m(xi)
-        return sym
+        sym = [m(freq[(slice(None),) + idx]) for idx in np.ndindex(lattice.shape)]
+        return np.array(sym, dtype=np.complex128).reshape(expect)
     sym = np.asarray(m, dtype=np.complex128)
-    expect = lattice.shape + (d, d) if matrix else lattice.shape
     if sym.shape != expect:
         raise ValueError(f"symbol array has shape {sym.shape}, expected {expect}")
     return sym
@@ -300,26 +307,17 @@ def apply_multiplier(m, field):
     field : ScalarField or VectorField
     """
     lattice = field.lattice
-    if isinstance(field, ScalarField):
-        sym = _evaluate_symbol(m, lattice, matrix=False)
-        _check_symbol_finite(sym, lattice)
-        return inverse_transform(ScalarField(lattice, forward_transform(field).values * sym))
-    if not isinstance(field, VectorField):
+    if not isinstance(field, (ScalarField, VectorField)):
         raise TypeError(f"expected ScalarField or VectorField, got {type(field).__name__}")
-    matrix = True
-    if callable(m):
-        probe = np.asarray(m(np.zeros(lattice.dim)))
-        matrix = probe.ndim == 2
-    else:
-        matrix = np.asarray(m).ndim == lattice.dim + 2
+    matrix = False
+    if isinstance(field, VectorField):
+        probe = np.asarray(m(np.zeros(lattice.dim)) if callable(m) else m)
+        matrix = probe.ndim == (2 if callable(m) else lattice.dim + 2)
     sym = _evaluate_symbol(m, lattice, matrix=matrix)
     _check_symbol_finite(sym, lattice)
     fhat = forward_transform(field).values
-    if matrix:
-        out = np.einsum("...jk,k...->j...", sym, fhat)
-    else:
-        out = sym[None] * fhat
-    return inverse_transform(VectorField(lattice, out))
+    out = np.einsum("...jk,k...->j...", sym, fhat) if matrix else fhat * sym
+    return inverse_transform(_adopt(type(field), lattice, out))
 
 
 # -- quadrature norms ---------------------------------------------------------
@@ -359,10 +357,7 @@ def l2_norm(field) -> float:
 def gradient_energy(field) -> float:
     """||grad f||_2^2 computed spectrally as sum |xi|^2 |fhat|^2."""
     coeffs = forward_transform(field).values
-    xi2 = field.lattice.frequency_norm2
-    if isinstance(field, VectorField):
-        xi2 = xi2[None]
-    return float(np.sum(xi2 * np.abs(coeffs) ** 2))
+    return float(np.sum(field.lattice.frequency_norm2 * np.abs(coeffs) ** 2))
 
 
 # -- random fields (deterministic under a seeded Generator) -------------------

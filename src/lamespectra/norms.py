@@ -139,17 +139,27 @@ def mc_ball_value(V: Potential, alpha: float, p: float, center: tuple, j: int) -
     ``center`` is a grid multi-index and the radius is h * 2^j; membership is
     the exact integer test |offset|^2 <= 4^j.
     """
-    lat = V.lattice
-    d = lat.dim
+    return _mc_ball(V.lattice, np.abs(V.values) ** p, _offset_norms(V.lattice.dim, 2**j),
+                    alpha, p, center, j)
+
+
+def _offset_norms(dim: int, R: int) -> np.ndarray:
+    """|offset|^2 of the integer offsets in [-R, R]^dim, as a (2R+1,)*dim grid."""
+    return sum(a * a for a in np.ogrid[(slice(-R, R + 1),) * dim])
+
+
+def _mc_ball(lat: Lattice, W: np.ndarray, m: np.ndarray, alpha: float, p: float,
+             center, j: int) -> float:
+    # mc_ball_value from W = |V|^p and m = _offset_norms(dim, R >= 2^j): the ball's
+    # clipped box yields, in row-major order, the sequence a whole-grid mask picks.
     h = lat.spacing
-    W = (np.abs(V.values) ** p).reshape(-1)
-    idx = np.indices(lat.shape).reshape(d, -1).T
-    diff = idx - np.asarray(center, dtype=idx.dtype)
-    m = np.sum(diff * diff, axis=1)
-    mask = m <= 4**j
-    integral = np.sum(W[mask]) * h**d
-    r = h * float(2**j)
-    return r**alpha * (integral / r**d) ** (1.0 / p)
+    rad = 2**j
+    R = m.shape[0] // 2
+    box = tuple(slice(max(c - rad, 0), min(c + rad + 1, lat.n)) for c in center)
+    cut = tuple(slice(b.start - c + R, b.stop - c + R) for b, c in zip(box, center))
+    integral = np.sum(W[box][m[cut] <= 4**j]) * h**lat.dim
+    r = h * float(rad)
+    return r**alpha * (integral / r**lat.dim) ** (1.0 / p)
 
 
 # A screened ball sum and mc_ball_value's np.sum each add at most N
@@ -169,7 +179,7 @@ def morrey_campanato_norm(V: Potential, alpha: float, p: float,
 
     All ball sums are screened at once by shifted adds of the zero-padded
     |V|^p; every candidate within ``_MC_SLACK`` of the screened top is then
-    re-evaluated by :func:`mc_ball_value`, center-major then radius order,
+    re-evaluated as :func:`mc_ball_value` does, center-major then radius order,
     so value and witness are those of the exhaustive scan.
     """
     lat = V.lattice
@@ -182,14 +192,15 @@ def morrey_campanato_norm(V: Potential, alpha: float, p: float,
     n = lat.n
     exponents = dyadic_radius_exponents(lat)
     R = 2 ** exponents[-1]
-    padded = np.pad(np.abs(V.values) ** p, R)
+    W = np.abs(V.values) ** p
+    padded = np.pad(W, R)
     offsets = np.indices((2 * R + 1,) * d).reshape(d, -1).T - R
-    m = np.sum(offsets * offsets, axis=1)
+    m = _offset_norms(d, R)
     sums = np.zeros(lat.shape)
     cands = np.empty(lat.shape + (len(exponents),))
     inner = -1
     for j in exponents:
-        for off in offsets[(m > inner) & (m <= 4**j)]:
+        for off in offsets[((m > inner) & (m <= 4**j)).reshape(-1)]:
             sums += padded[tuple(slice(R + o, R + o + n) for o in off)]
         inner = 4**j
         r = h * float(2**j)
@@ -199,7 +210,7 @@ def morrey_campanato_norm(V: Potential, alpha: float, p: float,
     best_witness = None
     if top > 0.0:
         for *center, j in np.argwhere(cands >= top * (1.0 - _MC_SLACK)).tolist():
-            cand = mc_ball_value(V, alpha, p, tuple(center), j)
+            cand = _mc_ball(lat, W, m, alpha, p, center, j)
             if cand > best:
                 best = cand
                 best_witness = {"center": center, "radius_exponent": j}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import l2_norm, scalar_lp_norm
+from .lattice import _adopt, l2_norm, scalar_lp_norm
 
 __all__ = ["ConvergenceError", "singular_norm", "lp_operator_norm"]
 
@@ -24,8 +24,7 @@ class ConvergenceError(RuntimeError):
 
 
 def _rescale(field, c: float):
-    cls = type(field)
-    return cls(field.lattice, field.values * c)
+    return _adopt(type(field), field.lattice, field.values * c)
 
 
 def singular_norm(apply_op, apply_adjoint, start, tol: float = 1e-10,
@@ -75,9 +74,8 @@ def singular_norm(apply_op, apply_adjoint, start, tol: float = 1e-10,
 def _duality_map(values: np.ndarray, s: float) -> np.ndarray:
     """Pointwise |v|^(s-1) sgn(v) with the complex signum, 0 at 0."""
     mag = np.abs(values)
-    out = np.zeros_like(values)
-    nz = mag > 0
-    out[nz] = mag[nz] ** (s - 1.0) * (values[nz] / mag[nz])
+    out = np.divide(values, mag, out=np.zeros_like(values), where=mag > 0)
+    out *= mag ** (s - 1.0)  # s > 1, so 0 stays 0
     return out
 
 
@@ -106,9 +104,8 @@ def lp_operator_norm(apply_op, apply_adjoint, start, p: float, q: float,
         if gamma == 0.0:
             break
         best = max(best, gamma)
-        z = apply_adjoint(cls(lattice, _duality_map(y.values, q)))
-        xv = _duality_map(z.values, p_dual)
-        x_new = cls(lattice, xv)
+        z = apply_adjoint(_adopt(cls, lattice, _duality_map(y.values, q)))
+        x_new = _adopt(cls, lattice, _duality_map(z.values, p_dual))
         nx = scalar_lp_norm(x_new, p)
         if nx == 0.0:
             break

@@ -11,6 +11,7 @@ residual below tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse.linalg
@@ -19,6 +20,7 @@ from .lame import (
     DEFAULT_TAU_Z,
     LameParams,
     Potential,
+    _check_admissible,
     _shifted_symbols,
     apply_perturbed,
     distance_to_ray,
@@ -30,6 +32,7 @@ from .lattice import (
     BudgetExceeded,
     Lattice,
     VectorField,
+    _adopt,
     l2_norm,
     random_vector_field,
 )
@@ -143,8 +146,7 @@ def dense_resolvent_matrix(params: LameParams, z: complex, lattice: Lattice,
                            tau_z: float = DEFAULT_TAU_Z,
                            budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
     """Dense resolvent of -Delta*, optionally restricted to flat grid points."""
-    if distance_to_ray(z) < tau_z:
-        raise ValueError(f"z = {z} is within {tau_z} of [0, inf)")
+    _check_admissible(z, tau_z)
     npts = lattice.npoints if points is None else len(points)
     _check_budget(lattice.dim * npts, budget_bytes, lattice.dim)
     tables = _inverse_symbol_tables(params, z, lattice)
@@ -295,8 +297,7 @@ class BSOperator:
 
     def __init__(self, params: LameParams, V: Potential, z: complex,
                  tau_z: float = DEFAULT_TAU_Z):
-        if distance_to_ray(z) < tau_z:
-            raise ValueError(f"z = {z} is within {tau_z} of [0, inf)")
+        _check_admissible(z, tau_z)
         self.params = params
         self.V = V
         self.z = complex(z)
@@ -312,14 +313,14 @@ class BSOperator:
         return self.V.lattice
 
     def apply(self, g: VectorField) -> VectorField:
-        cut = VectorField(g.lattice, self.abs_half[None] * g.values)
+        cut = _adopt(VectorField, g.lattice, self.abs_half[None] * g.values)
         out = resolvent_split(self.params, self.z, cut)
-        return VectorField(g.lattice, self.v_half[None] * out.values)
+        return _adopt(VectorField, g.lattice, self.v_half[None] * out.values)
 
     def apply_adjoint(self, g: VectorField) -> VectorField:
-        cut = VectorField(g.lattice, np.conj(self.v_half)[None] * g.values)
+        cut = _adopt(VectorField, g.lattice, np.conj(self.v_half)[None] * g.values)
         out = resolvent_split(self.params, np.conj(self.z), cut)
-        return VectorField(g.lattice, self.abs_half[None] * out.values)
+        return _adopt(VectorField, g.lattice, self.abs_half[None] * out.values)
 
     def support_points(self) -> np.ndarray:
         return np.flatnonzero(self.V.support_mask.reshape(-1))
@@ -349,8 +350,7 @@ def bs_norm(params: LameParams, V: Potential, z: complex,
     if not V.support_mask.any():
         return 0.0
     rng = np.random.default_rng(seed)
-    start = random_vector_field(K.lattice, rng)
-    start = VectorField(K.lattice, K.abs_half[None] * start.values)
+    start = random_vector_field(K.lattice, rng) * K.abs_half
     if l2_norm(start) == 0.0:
         return 0.0
     return singular_norm(K.apply, K.apply_adjoint, start, tol=tol, max_iter=max_iter)
@@ -386,8 +386,7 @@ def resolvent_norm_estimate(params: LameParams, z: complex, norm_pair, lattice: 
     power iteration on the weight-conjugated operator, stopping at relative
     change ``tol``.
     """
-    if distance_to_ray(z) < tau_z:
-        raise ValueError(f"z = {z} is within {tau_z} of [0, inf)")
+    _check_admissible(z, tau_z)
     kind, value = norm_pair
     rng = np.random.default_rng(seed)
 
@@ -397,12 +396,8 @@ def resolvent_norm_estimate(params: LameParams, z: complex, norm_pair, lattice: 
             raise ValueError(f"lp_dual pairing needs 1 < p <= 2, got {p}")
         q = p / (p - 1.0)
 
-        def op(g):
-            return resolvent_split(params, z, g)
-
-        def op_adj(g):
-            return resolvent_split(params, np.conj(z), g)
-
+        op = partial(resolvent_split, params, z)
+        op_adj = partial(resolvent_split, params, np.conj(z))
         best = 0.0
         for _ in range(samples):
             start = random_vector_field(lattice, rng)
@@ -413,19 +408,15 @@ def resolvent_norm_estimate(params: LameParams, z: complex, norm_pair, lattice: 
         alpha = float(value)
         if alpha < 0.0:
             raise ValueError(f"weight exponent must be >= 0, got {alpha}")
-        half = polynomial_weight(lattice, alpha / 2.0)  # <x>^alpha
+        inv_half = polynomial_weight(lattice, -alpha / 2.0)  # <x>^-alpha
 
-        def conj_op(g):
-            cut = VectorField(lattice, g.values / half[None])
-            out = resolvent_split(params, z, cut)
-            return VectorField(lattice, out.values / half[None])
+        def conjugated(w):
+            def op(g):
+                out = resolvent_split(params, w, _adopt(VectorField, lattice, g.values * inv_half))
+                return _adopt(VectorField, lattice, out.values * inv_half)
+            return op
 
-        def conj_adj(g):
-            cut = VectorField(lattice, g.values / half[None])
-            out = resolvent_split(params, np.conj(z), cut)
-            return VectorField(lattice, out.values / half[None])
-
-        start = random_vector_field(lattice, rng)
-        return singular_norm(conj_op, conj_adj, start, tol=tol, max_iter=5000)
+        return singular_norm(conjugated(z), conjugated(np.conj(z)),
+                             random_vector_field(lattice, rng), tol=tol, max_iter=5000)
 
     raise ValueError(f"unknown norm pairing {kind!r}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +22,7 @@ from lamespectra.lattice import (
     random_vector_field,
     vector_lp_norm,
 )
+from lamespectra.spectra import dense_resolvent_matrix
 
 PAIRS = [LameParams(1.0, 1.0), LameParams(-0.5, 1.0), LameParams(2.0, 0.5)]
 
@@ -105,15 +108,55 @@ def test_distance_to_ray_cases():
 
 @pytest.mark.parametrize("params", PAIRS)
 def test_resolvent_split_equals_direct(params):
-    lat = Lattice(2, 16)
     rng = np.random.default_rng(2)
-    g = random_vector_field(lat, rng)
-    for z in (0.3 + 0.5j, -1.0 + 0.2j, -4.0, 9.0 - 2.0j):
-        a = resolvent_split(params, z, g)
-        b = resolvent_direct(params, z, g)
-        num = vector_lp_norm(a - b, 2.0)
-        den = vector_lp_norm(b, 2.0)
-        assert num / den < 1e-12
+    for lat in (Lattice(1, 16), Lattice(2, 16), Lattice(3, 8)):
+        g = random_vector_field(lat, rng)
+        # a large mean puts most of the weight on the xi = 0 mode
+        offset = VectorField(lat, g.values + (3.0 - 2.0j))
+        for field in (g, offset):
+            for z in (0.3 + 0.5j, -1.0 + 0.2j, -4.0, 9.0 - 2.0j, 2.0 + 1e-3j):
+                a = resolvent_split(params, z, field)
+                b = resolvent_direct(params, z, field)
+                num = vector_lp_norm(a - b, 2.0)
+                den = vector_lp_norm(b, 2.0)
+                assert num / den < 1e-12, (lat, z)
+
+
+def test_resolvent_split_matches_dense_matrix():
+    lat = Lattice(2, 8)
+    g = random_vector_field(lat, np.random.default_rng(7))
+    for params in PAIRS:
+        for z in (0.3 + 0.5j, -4.0, 2.0 + 1e-3j):
+            want = dense_resolvent_matrix(params, z, lat) @ g.values.reshape(-1)
+            got = resolvent_split(params, z, g).values.reshape(-1)
+            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12, (params, z)
+
+
+def test_resolvent_split_leaves_input_and_returns_read_only():
+    lat = Lattice(2, 16)
+    g = random_vector_field(lat, np.random.default_rng(8))
+    before = g.values.copy()
+    u = resolvent_split(LameParams(1.0, 1.0), -1.0 + 0.5j, g)
+    assert np.array_equal(g.values, before)
+    assert not u.values.flags.writeable
+    with pytest.raises(ValueError):
+        u.values[0, 0, 0] = 1.0
+
+
+def test_resolvent_split_peak_memory():
+    # the parent of this check peaked at 7x the field's bytes: scaled
+    # copies after each transform, a copy per field and full-size temporaries
+    lat = Lattice(2, 64)
+    params = LameParams(0.5, 1.0)
+    g = random_vector_field(lat, np.random.default_rng(9))
+    resolvent_split(params, -1.0 + 0.1j, g)  # builds the cached frequency grids
+    tracemalloc.start()
+    try:
+        resolvent_split(params, -1.0 + 0.1j, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * g.values.nbytes
 
 
 def test_resolvent_split_uses_one_transform_pair(monkeypatch):

@@ -114,6 +114,31 @@ def test_fields_are_read_only():
         f.values[0] = 1.0
 
 
+def test_public_constructors_copy():
+    lat = Lattice(2, 8, 1.0)
+    arr = np.ones((2, 8, 8), dtype=complex)
+    u = VectorField(lat, arr)
+    f = ScalarField(lat, arr[0])
+    arr[:] = 5.0
+    assert np.all(u.values == 1.0) and np.all(f.values == 1.0)
+    assert arr.flags.writeable
+
+
+def test_transform_and_arithmetic_results_are_read_only():
+    lat = Lattice(2, 8, 1.0)
+    rng = np.random.default_rng(12)
+    u = random_vector_field(lat, rng)
+    f = random_scalar_field(lat, rng)
+    results = [forward_transform(u), inverse_transform(u), forward_transform(f),
+               inverse_transform(f), u + u, u - u, 2.0 * u, f + f, f - f, f * 3.0]
+    for out in results:
+        assert type(out) in (ScalarField, VectorField)
+        assert out.values.dtype == np.complex128
+        assert not out.values.flags.writeable
+        with pytest.raises(ValueError):
+            out.values[(0,) * out.values.ndim] = 1.0
+
+
 def test_vector_field_components():
     lat = Lattice(2, 8, 1.0)
     u = VectorField.from_components(

@@ -261,6 +261,28 @@ def test_mc_scan_matches_loop_oracle(name):
         assert morrey_campanato_norm(V, alpha, p, return_witness=True) == mc_norm_loop(V, alpha, p)
 
 
+def test_mc_scan_matches_loop_oracle_on_small_well():
+    # at alpha = dim/p every ball holding the 2x2 well ties exactly, so
+    # about 4000 of the 24576 candidates are re-evaluated from their boxes
+    V = _square_well(2, 64, 1, depth=-5.0)
+    assert morrey_campanato_norm(V, 1.0, 2.0, return_witness=True) == mc_norm_loop(V, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 4)])
+def test_mc_ball_value_matches_whole_grid_mask(dim, n):
+    # balls clipped by the grid's edges at every centre and radius
+    V = _random_potential(dim, n, 5)
+    W = (np.abs(V.values) ** 1.5).reshape(-1)
+    idx = np.indices(V.lattice.shape).reshape(dim, -1).T
+    h = V.lattice.spacing
+    for c in np.ndindex(V.lattice.shape):
+        m = np.sum((idx - c) ** 2, axis=1)
+        for j in dyadic_radius_exponents(V.lattice):
+            r = h * float(2**j)
+            want = r**0.7 * (np.sum(W[m <= 4**j]) * h**dim / r**dim) ** (1.0 / 1.5)
+            assert mc_ball_value(V, 0.7, 1.5, c, j) == want
+
+
 @pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
 def test_ks_scan_matches_dense_oracle(name):
     V = SCAN_FIXTURES[name]()
