@@ -13,7 +13,6 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
@@ -22,6 +21,8 @@ import numpy as np
 
 from .config import (
     ConfigError,
+    _as_complex,
+    _as_number,
     lattice_from_config,
     load_config,
     params_from_config,
@@ -35,16 +36,11 @@ from .enclosure import (
     enclosure_report,
 )
 from .helmholtz import helmholtz_decompose, divergence
-from .lame import resolvent_direct, resolvent_split
+from .lame import _check_admissible, resolvent_direct, resolvent_split
 from .lattice import random_scalar_field, random_vector_field, scalar_lp_norm, vector_lp_norm
 from .norms import norm_result
 from .potentials import random_ensemble
-from .serialize import (
-    scalar_to_csv,
-    vector_to_csv,
-    write_metadata,
-    write_report,
-)
+from .serialize import vector_to_csv, write_metadata, write_report, write_table
 from .spectra import BudgetExceeded, DEFAULT_BUDGET_BYTES, bs_check, bs_norm, discrete_eigenvalues
 
 __all__ = ["main"]
@@ -64,7 +60,7 @@ def _out_dir(args) -> Path:
 def _seed(cfg: dict, args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(cfg.get("seed", 0))
+    return _as_number(cfg.get("seed", 0), "seed", int)
 
 
 def _solver_kwargs(cfg: dict) -> dict:
@@ -72,25 +68,29 @@ def _solver_kwargs(cfg: dict) -> dict:
     if not isinstance(sec, dict):
         raise ConfigError("config section 'solver' must be a mapping")
     out = {}
-    if sec.get("tau_filter") is not None:
-        out["tau_filter"] = float(sec["tau_filter"])
-    if sec.get("tau_res") is not None:
-        out["tau_res"] = float(sec["tau_res"])
-    out["budget_bytes"] = int(sec.get("budget_bytes", DEFAULT_BUDGET_BYTES))
+    for key in ("tau_filter", "tau_res"):
+        if sec.get(key) is not None:
+            out[key] = _as_number(sec[key], f"solver.{key}")
+    out["budget_bytes"] = _as_number(sec.get("budget_bytes", DEFAULT_BUDGET_BYTES),
+                                     "solver.budget_bytes", int)
     return out
 
 
-def _z_list(sec: dict, key: str, default) -> list:
+def _admissible(z: complex, where: str) -> complex:
+    try:
+        _check_admissible(z)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return z
+
+
+def _z_list(sec: dict, where: str, key: str, default) -> list:
+    """The points off the essential spectrum listed under ``sec[key]``."""
     raw = sec.get(key, default)
-    out = []
-    for item in raw:
-        if isinstance(item, (int, float)):
-            out.append(complex(item))
-        elif isinstance(item, (list, tuple)) and len(item) == 2:
-            out.append(complex(float(item[0]), float(item[1])))
-        else:
-            raise ConfigError(f"{key} entries must be numbers or [re, im] pairs, got {item!r}")
-    return out
+    if not isinstance(raw, list):
+        raise ConfigError(f"{where}.{key} must be a list, got {raw!r}")
+    names = [f"{where}.{key}[{i}]" for i in range(len(raw))]
+    return [_admissible(_as_complex(item, name), name) for item, name in zip(raw, names)]
 
 
 def _bound_spec(sec: dict) -> BoundSpec:
@@ -158,8 +158,8 @@ def cmd_resolvent_check(cfg: dict, args) -> int:
     params = params_from_config(cfg)
     out = _out_dir(args)
     sec = cfg.get("resolvent", {}) or {}
-    z_values = _z_list(sec, "z_values", [[0.5, 0.8], [-1.0, 0.3], [2.0, -1.0]])
-    samples = int(sec.get("samples", 3))
+    z_values = _z_list(sec, "resolvent", "z_values", [[0.5, 0.8], [-1.0, 0.3], [2.0, -1.0]])
+    samples = _as_number(sec.get("samples", 3), "resolvent.samples", int)
     rng = np.random.default_rng(_seed(cfg, args))
     rows = []
     worst = 0.0
@@ -198,14 +198,9 @@ def cmd_spectrum(cfg: dict, args) -> int:
     out = _out_dir(args)
     lat, params, V, result = _spectrum(cfg, args)
     write_report(result.to_dict(), out / "spectrum.json")
-    with open(out / "eigenvalues.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im", "residual", "distance_to_ray"])
-        for i, z in enumerate(result.eigenvalues):
-            writer.writerow(
-                [i, repr(float(z.real)), repr(float(z.imag)),
-                 repr(float(result.residuals[i])), repr(float(result.distances[i]))]
-            )
+    z = result.eigenvalues
+    write_table(out / "eigenvalues.csv", ["index", "re", "im", "residual", "distance_to_ray"],
+                [range(len(z)), z.real, z.imag, result.residuals, result.distances])
     write_metadata(out / "spectrum.json")
     print(f"spectrum: {len(result)} eigenvalues kept")
     return EXIT_OK
@@ -213,19 +208,20 @@ def cmd_spectrum(cfg: dict, args) -> int:
 
 def cmd_bs_check(cfg: dict, args) -> int:
     out = _out_dir(args)
-    lat, params, V, result = _spectrum(cfg, args)
     sec = cfg.get("bs", {}) or {}
-    limit = int(sec.get("limit", 16))
-    z_values = list(result.eigenvalues[:limit])
-    z_values += _z_list(sec, "z_values", [])
+    limit = _as_number(sec.get("limit", 16), "bs.limit", int)
+    extra = _z_list(sec, "bs", "z_values", [])
+    budget_bytes = _solver_kwargs(cfg)["budget_bytes"]
+    lat, params, V, result = _spectrum(cfg, args)
+    z_values = [_admissible(complex(z), "eigenvalue kept by solver.tau_filter")
+                for z in result.eigenvalues[:limit]]
     rows = []
-    for z in z_values:
-        z = complex(z)
+    for z in z_values + extra:
         rows.append(
             {
                 "z": [z.real, z.imag],
-                "eigenvalue_gap": bs_check(params, V, z),
-                "operator_norm": bs_norm(params, V, z),
+                "eigenvalue_gap": bs_check(params, V, z, budget_bytes=budget_bytes),
+                "operator_norm": bs_norm(params, V, z, budget_bytes=budget_bytes),
             }
         )
     report = {
@@ -250,10 +246,10 @@ def cmd_norms(cfg: dict, args) -> int:
     budget_bytes = _solver_kwargs(cfg)["budget_bytes"]
     entries = []
     seconds = []
-    for req in requests:
+    for i, req in enumerate(requests):
         if not isinstance(req, dict) or "name" not in req:
             raise ConfigError(f"each norms entry needs a 'name', got {req!r}")
-        kwargs = {k: float(v) for k, v in req.items() if k != "name"}
+        kwargs = {k: _as_number(v, f"norms[{i}].{k}") for k, v in req.items() if k != "name"}
         start = time.perf_counter()
         try:
             res = norm_result(req["name"], V, budget_bytes=budget_bytes, **kwargs)
@@ -273,14 +269,14 @@ def cmd_enclosure(cfg: dict, args) -> int:
     if not isinstance(sec, dict):
         raise ConfigError("config needs an 'enclosure' section")
     spec = _bound_spec(sec)
+    margin = _as_number(sec.get("margin", 1e-2), "enclosure.margin")
     lat, params, V, result = _spectrum(cfg, args)
-    report = enclosure_report(spec, params, V, result, margin=float(sec.get("margin", 1e-2)))
+    report = enclosure_report(spec, params, V, result, margin=margin)
     write_report(report.to_dict(), out / "enclosure.json")
-    with open(out / "enclosure.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im", "abs", "ratio", "verdict"])
-        for z, ratio, verdict in zip(report.eigenvalues_tested, report.ratios, report.verdicts):
-            writer.writerow([repr(z.real), repr(z.imag), repr(abs(z)), repr(ratio), verdict])
+    z = report.eigenvalues_tested
+    write_table(out / "enclosure.csv", ["re", "im", "abs", "ratio", "verdict"],
+                [[w.real for w in z], [w.imag for w in z], [abs(w) for w in z],
+                 report.ratios, report.verdicts])
     write_metadata(out / "enclosure.json")
     print(f"enclosure: {len(report.ratios)} eigenvalues against {spec.theorem}")
     return EXIT_OK
@@ -296,7 +292,7 @@ def cmd_calibrate(cfg: dict, args) -> int:
     params = params_from_config(cfg)
     ens_sec = sec.get("ensemble", {}) or {}
     family = ens_sec.get("family", "gaussian")
-    size = int(ens_sec.get("size", 8))
+    size = _as_number(ens_sec.get("size", 8), "calibrate.ensemble.size", int)
     potentials = random_ensemble(
         lat,
         family,

@@ -58,26 +58,33 @@ def _section(cfg: dict, name: str) -> dict:
     return sec
 
 
+def _as_number(value, where: str, kind=float):
+    """``kind(value)``, or a ConfigError naming ``where`` if that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
 def _as_complex(value, where: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_as_number(value[0], where), _as_number(value[1], where))
     raise ConfigError(f"{where} must be a number or a [re, im] pair, got {value!r}")
 
 
 def lattice_from_config(cfg: dict) -> Lattice:
     sec = _section(cfg, "lattice")
-    try:
-        dim = int(sec["dim"])
-    except KeyError:
-        raise ConfigError("lattice section needs 'dim'") from None
+    if "dim" not in sec:
+        raise ConfigError("lattice section needs 'dim'")
+    dim = _as_number(sec["dim"], "lattice.dim", int)
     n = sec.get("points")
-    period = float(sec.get("period", 2.0 * 3.141592653589793))
+    period = _as_number(sec.get("period", 2.0 * 3.141592653589793), "lattice.period")
     try:
         if n is None:
             return Lattice.default(dim, period=period)
-        return Lattice(dim, int(n), period)
+        return Lattice(dim, _as_number(n, "lattice.points", int), period)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

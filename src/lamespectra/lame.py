@@ -116,10 +116,10 @@ def distance_to_ray(z: complex) -> float:
     return abs(z)
 
 
-def _check_admissible(z: complex, tau_z: float) -> None:
-    if distance_to_ray(z) < tau_z:
+def _check_admissible(z: complex) -> None:
+    if distance_to_ray(z) < DEFAULT_TAU_Z:
         raise ValueError(
-            f"z = {z} is within {tau_z} of the essential spectrum [0, inf)"
+            f"z = {z} is within {DEFAULT_TAU_Z} of the essential spectrum [0, inf)"
         )
 
 
@@ -154,10 +154,9 @@ def apply_lame(params: LameParams, u: VectorField) -> VectorField:
     return inverse_transform(_adopt(VectorField, lat, out))
 
 
-def resolvent_direct(params: LameParams, z: complex, g: VectorField,
-                     tau_z: float = DEFAULT_TAU_Z) -> VectorField:
+def resolvent_direct(params: LameParams, z: complex, g: VectorField) -> VectorField:
     """Resolvent by per-frequency solves of (M(xi) - z) fhat = ghat."""
-    _check_admissible(z, tau_z)
+    _check_admissible(z)
     lat = g.lattice
     d = lat.dim
     ghat = forward_transform(g).values.reshape(d, -1).T  # (npts, d)
@@ -166,8 +165,7 @@ def resolvent_direct(params: LameParams, z: complex, g: VectorField,
     return inverse_transform(VectorField(lat, fhat))
 
 
-def resolvent_split(params: LameParams, z: complex, g: VectorField,
-                    tau_z: float = DEFAULT_TAU_Z) -> VectorField:
+def resolvent_split(params: LameParams, z: complex, g: VectorField) -> VectorField:
     """Resolvent via the Helmholtz splitting into scalar resolvents.
 
     With ghat = gs + gp (gp = xi q, the potential part) it forms
@@ -175,7 +173,7 @@ def resolvent_split(params: LameParams, z: complex, g: VectorField,
     ghat / (mu |xi|^2 - z) plus gp times the two resolvents' difference.  One
     forward and one inverse transform; ``g`` is untouched, the result read-only.
     """
-    _check_admissible(z, tau_z)
+    _check_admissible(z)
     lat = g.lattice
     xi2 = lat.frequency_norm2
     ghat = forward_transform(g).values

@@ -21,6 +21,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "scalar_to_csv",
     "vector_to_csv",
+    "write_table",
     "scalar_from_csv",
     "vector_from_csv",
     "write_report",
@@ -31,25 +32,35 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
+_BLOCK_ROWS = 1024  # rows formatted per write; bounds the strings held at once
+
+
+def write_table(path, header, columns) -> None:
+    """Write equal-length columns as CSV rows under ``header``.
+
+    Cells are ``str`` of ``.tolist()`` values (``repr`` for floats), lines end
+    in ``\r\n`` as :func:`csv.writer` writes them; no cell may need quoting.
+    """
+    columns = [np.asarray(col) for col in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            cells = [map(str, col[lo:lo + _BLOCK_ROWS].tolist()) for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
 def scalar_to_csv(field: ScalarField, path) -> None:
     """Rows ``index,re,im`` with the flat row-major sample index."""
     flat = field.values.reshape(-1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        for i, v in enumerate(flat):
-            writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+    write_table(path, ["index", "re", "im"], [np.arange(flat.size), flat.real, flat.imag])
 
 
 def vector_to_csv(field: VectorField, path) -> None:
     """Rows ``component,index,re,im``, components in order, then flat index."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "index", "re", "im"])
-        for j in range(field.lattice.dim):
-            flat = field.values[j].reshape(-1)
-            for i, v in enumerate(flat):
-                writer.writerow([j, i, repr(float(v.real)), repr(float(v.imag))])
+    d, n = field.lattice.dim, field.lattice.npoints
+    flat = field.values.reshape(-1)
+    write_table(path, ["component", "index", "re", "im"],
+                [np.repeat(np.arange(d), n), np.tile(np.arange(n), d), flat.real, flat.imag])
 
 
 def _read_rows(path, header):

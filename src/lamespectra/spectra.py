@@ -17,7 +17,6 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .lame import (
-    DEFAULT_TAU_Z,
     LameParams,
     Potential,
     _check_admissible,
@@ -143,10 +142,9 @@ def _inverse_symbol_tables(params: LameParams, z: complex, lattice: Lattice) -> 
 
 def dense_resolvent_matrix(params: LameParams, z: complex, lattice: Lattice,
                            points: np.ndarray | None = None,
-                           tau_z: float = DEFAULT_TAU_Z,
                            budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
     """Dense resolvent of -Delta*, optionally restricted to flat grid points."""
-    _check_admissible(z, tau_z)
+    _check_admissible(z)
     npts = lattice.npoints if points is None else len(points)
     _check_budget(lattice.dim * npts, budget_bytes, lattice.dim)
     tables = _inverse_symbol_tables(params, z, lattice)
@@ -295,9 +293,8 @@ class BSOperator:
     act componentwise and vanish off the support of V.
     """
 
-    def __init__(self, params: LameParams, V: Potential, z: complex,
-                 tau_z: float = DEFAULT_TAU_Z):
-        _check_admissible(z, tau_z)
+    def __init__(self, params: LameParams, V: Potential, z: complex):
+        _check_admissible(z)
         self.params = params
         self.V = V
         self.z = complex(z)
@@ -317,11 +314,6 @@ class BSOperator:
         out = resolvent_split(self.params, self.z, cut)
         return _adopt(VectorField, g.lattice, self.v_half[None] * out.values)
 
-    def apply_adjoint(self, g: VectorField) -> VectorField:
-        cut = _adopt(VectorField, g.lattice, np.conj(self.v_half)[None] * g.values)
-        out = resolvent_split(self.params, np.conj(self.z), cut)
-        return _adopt(VectorField, g.lattice, self.abs_half[None] * out.values)
-
     def support_points(self) -> np.ndarray:
         return np.flatnonzero(self.V.support_mask.reshape(-1))
 
@@ -338,34 +330,28 @@ class BSOperator:
 
 
 def bs_norm(params: LameParams, V: Potential, z: complex,
-            tau_z: float = DEFAULT_TAU_Z, tol: float = 1e-10,
-            max_iter: int = 5000, seed: int = 0) -> float:
+            budget_bytes: int = DEFAULT_BUDGET_BYTES) -> float:
     """Largest singular value of the Birman-Schwinger operator at z.
 
-    Power iteration on K*K; returns 0 for the zero potential.  At any
-    eigenvalue of the discretized -Delta* + V the value is at least 1,
-    since -1 then lies in the spectrum of K.
+    Both factors of K vanish off the support of V, so this is the exact
+    2-norm of the dense restricted kernel; 0 for the zero potential.  At any
+    eigenvalue of the discretized -Delta* + V the value is at least 1, since
+    -1 then lies in the spectrum of K.
     """
-    K = BSOperator(params, V, z, tau_z=tau_z)
-    if not V.support_mask.any():
+    mat = BSOperator(params, V, z).dense_matrix(budget_bytes=budget_bytes)
+    if mat.shape[0] == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    start = random_vector_field(K.lattice, rng) * K.abs_half
-    if l2_norm(start) == 0.0:
-        return 0.0
-    return singular_norm(K.apply, K.apply_adjoint, start, tol=tol, max_iter=max_iter)
+    return float(np.linalg.norm(mat, 2))
 
 
 def bs_check(params: LameParams, V: Potential, z: complex,
-             tau_z: float = DEFAULT_TAU_Z,
              budget_bytes: int = DEFAULT_BUDGET_BYTES) -> float:
     """Residual min |sigma + 1| over the spectrum of the dense restricted K.
 
     Near zero exactly when z is an eigenvalue of the discretized -Delta* + V;
     returns 1 for the zero potential (K is the zero operator).
     """
-    K = BSOperator(params, V, z, tau_z=tau_z)
-    mat = K.dense_matrix(budget_bytes=budget_bytes)
+    mat = BSOperator(params, V, z).dense_matrix(budget_bytes=budget_bytes)
     if mat.shape[0] == 0:
         return 1.0
     sigma = np.linalg.eigvals(mat)
@@ -377,7 +363,7 @@ def bs_check(params: LameParams, V: Potential, z: complex,
 
 def resolvent_norm_estimate(params: LameParams, z: complex, norm_pair, lattice: Lattice,
                             samples: int = 6, n_iter: int = 40, seed: int = 0,
-                            tau_z: float = DEFAULT_TAU_Z, tol: float = 1e-6) -> float:
+                            tol: float = 1e-6) -> float:
     """Empirical lower estimate of a resolvent operator norm.
 
     ``norm_pair`` selects the pairing: ``("lp_dual", p)`` estimates
@@ -386,7 +372,7 @@ def resolvent_norm_estimate(params: LameParams, z: complex, norm_pair, lattice: 
     power iteration on the weight-conjugated operator, stopping at relative
     change ``tol``.
     """
-    _check_admissible(z, tau_z)
+    _check_admissible(z)
     kind, value = norm_pair
     rng = np.random.default_rng(seed)
 

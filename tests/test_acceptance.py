@@ -157,18 +157,20 @@ def _bs_fixtures():
     lat2 = Lattice(1, 64, 16.0)
     gauss = gaussian_bump(lat2, -30.0 - 10.0j, 1.1)
 
-    # no symmetry axes: keeps the top singular pair split so the norm
-    # iteration settles quickly
     lat3 = Lattice(2, 12)
     L = lat3.period
     g1 = gaussian_bump(lat3, -35.0, 0.55, center=(L / 2 - 0.4, L / 2))
     g2 = gaussian_bump(lat3, -18.0, 0.75, center=(L / 2 + 0.7, L / 2 + 0.3))
     lopsided = Potential.from_array(lat3, g1.values + g2.values)
 
+    # centred radial bump: degenerate eigenvalues and singular values of K
+    symmetric = gaussian_bump(lat3, -35.0, 0.55)
+
     return (
         (LameParams(-1.0, 1.0), well, 0.5),
         (LameParams(0.0, 1.0), gauss, 3.0),
         (LameParams(0.5, 1.0), lopsided, 3.0),
+        (LameParams(0.5, 1.0), symmetric, 3.0),
     )
 
 

@@ -21,6 +21,17 @@ solver: {tau_filter: 0.5}
 """
 
 
+CALIBRATE_CONFIG = """
+lattice: {dim: 1, points: 64, period: 12.0}
+material: {lambda: 0.0, mu: 0.5}
+calibrate:
+  theorem: T1d
+  gamma: 0.5
+  ensemble: {family: gaussian, size: 3}
+seed: 5
+"""
+
+
 def _write(tmp_path, text, name="run.yaml"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text))
@@ -138,6 +149,26 @@ def test_bs_check_at_spectrum_points(tmp_path):
     for row in doc["checks"]:
         assert row["eigenvalue_gap"] < 1e-6
         assert row["operator_norm"] >= 1.0 - 1e-6
+
+
+SYMMETRIC_CONFIG = """
+lattice: {dim: 2, points: 12}
+material: {lambda: 0.5, mu: 1.0}
+potential: {family: gaussian, amplitude: -35.0, width: 0.55}
+solver: {tau_filter: 3.0}
+"""
+
+
+def test_bs_check_symmetric_potential(tmp_path):
+    # a centred radial bump gives degenerate singular values of K(z)
+    cfg = _write(tmp_path, SYMMETRIC_CONFIG)
+    out = tmp_path / "out"
+    assert main(["bs-check", "-c", cfg, "-o", str(out)]) == 0
+    doc = _json(out, "bs_check.json")
+    assert doc["n_from_spectrum"] == len(doc["checks"]) == 5
+    for row in doc["checks"]:
+        assert row["eigenvalue_gap"] < 1e-6
+        assert row["operator_norm"] >= 1.0 - 1e-12
 
 
 def test_norms_command(tmp_path):
@@ -266,19 +297,47 @@ def test_budget_exit_code(tmp_path):
     assert main(["spectrum", "-c", cfg, "-o", str(tmp_path / "o")]) == 4
 
 
+_RESOLVENT = "lattice: {dim: 1, points: 16}\nmaterial: {lambda: 0.0, mu: 1.0}\nresolvent: "
+
+
+@pytest.mark.parametrize(
+    "command, text, named",
+    [
+        ("resolvent-check", _RESOLVENT + "{z_values: [[-1.0, 0.3], [2.0, 0.0]]}\n",
+         "resolvent.z_values[1]"),
+        ("bs-check", WELL_CONFIG + "bs: {z_values: [0.0]}\n", "bs.z_values[0]"),
+        ("bs-check", WELL_CONFIG.replace("tau_filter: 0.5", "tau_filter: 0.0"),
+         "solver.tau_filter"),
+        ("spectrum", WELL_CONFIG.replace("tau_filter: 0.5", "tau_filter: small"),
+         "solver.tau_filter"),
+        ("spectrum", WELL_CONFIG.replace("tau_filter: 0.5", "tau_res: tight"), "solver.tau_res"),
+        ("spectrum", WELL_CONFIG.replace("tau_filter: 0.5", "budget_bytes: 512MB"),
+         "solver.budget_bytes"),
+        ("resolvent-check", _RESOLVENT + "{samples: three}\n", "resolvent.samples"),
+        ("bs-check", WELL_CONFIG + "bs: {limit: all}\n", "bs.limit"),
+        ("enclosure", WELL_CONFIG + "enclosure: {theorem: T1d, gamma: 0.5, margin: wide}\n",
+         "enclosure.margin"),
+        ("calibrate", CALIBRATE_CONFIG.replace("size: 3", "size: many"),
+         "calibrate.ensemble.size"),
+        ("norms", "lattice: {dim: 1, points: 32, period: 8.0}\n"
+         "potential: {family: gaussian, amplitude: 1.0, width: 0.7}\n"
+         "norms: [{name: lp, p: two}]\n", "norms[0].p"),
+        ("decompose", "lattice: {dim: 1, points: 16}\nseed: abc\n", "seed"),
+        ("decompose", "lattice: {dim: 1, points: many}\n", "lattice.points"),
+    ],
+    ids=["resolvent-z-on-ray", "bs-z-on-ray", "bs-spectrum-point-on-ray", "solver-tau-filter",
+         "solver-tau-res", "solver-budget", "resolvent-samples", "bs-limit", "enclosure-margin",
+         "calibrate-size", "norms-parameter", "seed", "lattice-points"],
+)
+def test_bad_value_exit_code(tmp_path, capsys, command, text, named):
+    cfg = _write(tmp_path, text)
+    assert main([command, "-c", cfg, "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_missing_config_exit_code(tmp_path):
     assert main(["spectrum", "-c", str(tmp_path / "none.yaml"), "-o", str(tmp_path)]) == 2
-
-
-CALIBRATE_CONFIG = """
-lattice: {dim: 1, points: 64, period: 12.0}
-material: {lambda: 0.0, mu: 0.5}
-calibrate:
-  theorem: T1d
-  gamma: 0.5
-  ensemble: {family: gaussian, size: 3}
-seed: 5
-"""
 
 
 def test_calibrate_deterministic(tmp_path):

@@ -1,9 +1,16 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from lamespectra.lattice import Lattice, random_scalar_field, random_vector_field
+from lamespectra.lattice import (
+    Lattice,
+    ScalarField,
+    VectorField,
+    random_scalar_field,
+    random_vector_field,
+)
 from lamespectra.serialize import (
     SCHEMA_VERSION,
     read_report,
@@ -13,6 +20,7 @@ from lamespectra.serialize import (
     vector_to_csv,
     write_metadata,
     write_report,
+    write_table,
 )
 
 
@@ -34,6 +42,41 @@ def test_vector_csv_roundtrip(tmp_path):
     vector_to_csv(f, path)
     g = vector_from_csv(lat, path)
     assert np.array_equal(f.values, g.values)
+
+
+def _csv_writer_bytes(path, header, rows):
+    """Reference: the rows through csv.writer, floats as repr strings."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return path.read_bytes()
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    # more rows than one formatting block, and values with unusual reprs
+    lat = Lattice(2, 40)
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=(2, 40, 40)) * 10.0 ** rng.integers(-320, 300, size=(2, 40, 40))
+    vals = vals + 1j * rng.normal(size=(2, 40, 40))
+    vals.reshape(-1)[:6] = [np.nan, np.inf, complex(-0.0, -np.inf), 5e-324, 1e16, -1e-310]
+    vf = VectorField(lat, vals)
+    sf = ScalarField(lat, vals[1])
+    vector_to_csv(vf, tmp_path / "v.csv")
+    scalar_to_csv(sf, tmp_path / "s.csv")
+    flat = [c.reshape(-1).tolist() for c in vals]
+    vrows = [(j, i, v.real, v.imag) for j in range(2) for i, v in enumerate(flat[j])]
+    srows = [(i, v.real, v.imag) for i, v in enumerate(flat[1])]
+    ref = tmp_path / "ref.csv"
+    assert (tmp_path / "v.csv").read_bytes() == _csv_writer_bytes(
+        ref, ["component", "index", "re", "im"], vrows)
+    assert (tmp_path / "s.csv").read_bytes() == _csv_writer_bytes(ref, ["index", "re", "im"], srows)
+    write_table(tmp_path / "t.csv", ["x", "verdict"], [[0.5, float("inf")], ["inside", "recorded"]])
+    assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(
+        ref, ["x", "verdict"], [(0.5, "inside"), (float("inf"), "recorded")])
+    write_table(tmp_path / "e.csv", ["re", "im"], [[], []])
+    assert (tmp_path / "e.csv").read_bytes() == _csv_writer_bytes(ref, ["re", "im"], [])
 
 
 def test_csv_header_rejected(tmp_path):

@@ -207,7 +207,42 @@ def test_bs_norm_at_least_one_at_eigenvalue():
     V, _ = _well_fixture(128)
     res = discrete_eigenvalues(WELL_PARAMS, V, tau_filter=0.5)
     z = complex(res.eigenvalues[0])
-    assert bs_norm(WELL_PARAMS, V, z, tol=1e-8) >= 1.0 - 1e-6
+    assert bs_norm(WELL_PARAMS, V, z) >= 1.0 - 1e-12
+
+
+def _bs_columns(K):
+    """K applied matrix-free to each unit vector on the support, restricted to it."""
+    lat = K.lattice
+    pts = K.support_points()
+    cols = []
+    for c in range(lat.dim):
+        for p in pts:
+            e = np.zeros((lat.dim, lat.npoints), dtype=complex)
+            e[c, p] = 1.0
+            out = K.apply(VectorField(lat, e.reshape((lat.dim,) + lat.shape)))
+            cols.append(out.values.reshape(lat.dim, -1)[:, pts].reshape(-1))
+    return np.array(cols).T
+
+
+def test_bs_norm_is_top_singular_value_for_symmetric_potential():
+    # a centred radial bump: the top singular pair of K(z) is degenerate,
+    # which a power iteration on K*K resolves slowly or not at all
+    params = LameParams(0.5, 1.0)
+    V = gaussian_bump(Lattice(2, 12), -35.0, 0.55)
+    res = discrete_eigenvalues(params, V, tau_filter=3.0)
+    assert len(res) == 5
+
+    def checked_norm(z):
+        K = BSOperator(params, V, z)
+        norm = bs_norm(params, V, z)
+        assert abs(norm - svdvals(K.dense_matrix())[0]) <= 1e-13 * norm
+        assert abs(norm - svdvals(_bs_columns(K))[0]) <= 1e-12 * norm
+        return norm
+
+    for z in res.eigenvalues:
+        assert checked_norm(complex(z)) >= 1.0 - 1e-12
+    # off the real axis K(z) is not normal, so its norm exceeds its spectral radius
+    checked_norm(-9.0 + 2.0j)
 
 
 def test_bs_zero_potential():
