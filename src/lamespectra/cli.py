@@ -23,6 +23,7 @@ from .config import (
     ConfigError,
     _as_complex,
     _as_number,
+    _optional_section,
     lattice_from_config,
     load_config,
     params_from_config,
@@ -64,9 +65,7 @@ def _seed(cfg: dict, args) -> int:
 
 
 def _solver_kwargs(cfg: dict) -> dict:
-    sec = cfg.get("solver", {}) or {}
-    if not isinstance(sec, dict):
-        raise ConfigError("config section 'solver' must be a mapping")
+    sec = _optional_section(cfg, "solver")
     out = {}
     for key in ("tau_filter", "tau_res"):
         if sec.get(key) is not None:
@@ -113,7 +112,7 @@ def _bound_spec(sec: dict) -> BoundSpec:
 def cmd_decompose(cfg: dict, args) -> int:
     lat = lattice_from_config(cfg)
     out = _out_dir(args)
-    sec = cfg.get("decompose", {}) or {}
+    sec = _optional_section(cfg, "decompose")
     kind = sec.get("field", "random")
     if kind == "random":
         rng = np.random.default_rng(_seed(cfg, args))
@@ -157,7 +156,7 @@ def cmd_resolvent_check(cfg: dict, args) -> int:
     lat = lattice_from_config(cfg)
     params = params_from_config(cfg)
     out = _out_dir(args)
-    sec = cfg.get("resolvent", {}) or {}
+    sec = _optional_section(cfg, "resolvent")
     z_values = _z_list(sec, "resolvent", "z_values", [[0.5, 0.8], [-1.0, 0.3], [2.0, -1.0]])
     samples = _as_number(sec.get("samples", 3), "resolvent.samples", int)
     rng = np.random.default_rng(_seed(cfg, args))
@@ -201,14 +200,14 @@ def cmd_spectrum(cfg: dict, args) -> int:
     z = result.eigenvalues
     write_table(out / "eigenvalues.csv", ["index", "re", "im", "residual", "distance_to_ray"],
                 [range(len(z)), z.real, z.imag, result.residuals, result.distances])
-    write_metadata(out / "spectrum.json")
+    write_metadata(out / "spectrum.json", extra={"eigensolves": [result.eigensolve]})
     print(f"spectrum: {len(result)} eigenvalues kept")
     return EXIT_OK
 
 
 def cmd_bs_check(cfg: dict, args) -> int:
     out = _out_dir(args)
-    sec = cfg.get("bs", {}) or {}
+    sec = _optional_section(cfg, "bs")
     limit = _as_number(sec.get("limit", 16), "bs.limit", int)
     extra = _z_list(sec, "bs", "z_values", [])
     budget_bytes = _solver_kwargs(cfg)["budget_bytes"]
@@ -230,7 +229,7 @@ def cmd_bs_check(cfg: dict, args) -> int:
         "n_from_spectrum": len(result.eigenvalues[:limit]),
     }
     write_report(report, out / "bs_check.json")
-    write_metadata(out / "bs_check.json")
+    write_metadata(out / "bs_check.json", extra={"eigensolves": [result.eigensolve]})
     worst = max((r["eigenvalue_gap"] for r in rows), default=0.0)
     print(f"bs-check: {len(rows)} points, worst |sigma + 1| gap {worst:.3e}")
     return EXIT_OK
@@ -277,7 +276,7 @@ def cmd_enclosure(cfg: dict, args) -> int:
     write_table(out / "enclosure.csv", ["re", "im", "abs", "ratio", "verdict"],
                 [[w.real for w in z], [w.imag for w in z], [abs(w) for w in z],
                  report.ratios, report.verdicts])
-    write_metadata(out / "enclosure.json")
+    write_metadata(out / "enclosure.json", extra={"eigensolves": [result.eigensolve]})
     print(f"enclosure: {len(report.ratios)} eigenvalues against {spec.theorem}")
     return EXIT_OK
 
@@ -290,7 +289,7 @@ def cmd_calibrate(cfg: dict, args) -> int:
     spec = _bound_spec(sec)
     lat = lattice_from_config(cfg)
     params = params_from_config(cfg)
-    ens_sec = sec.get("ensemble", {}) or {}
+    ens_sec = _optional_section(sec, "ensemble", "calibrate.ensemble")
     family = ens_sec.get("family", "gaussian")
     size = _as_number(ens_sec.get("size", 8), "calibrate.ensemble.size", int)
     potentials = random_ensemble(
@@ -311,7 +310,7 @@ def cmd_calibrate(cfg: dict, args) -> int:
     except EmptyEnsemble as exc:
         raise ConfigError(f"calibration produced no usable members: {exc}") from exc
     write_report(result.to_dict(), out / "calibration.json")
-    write_metadata(out / "calibration.json")
+    write_metadata(out / "calibration.json", extra={"eigensolves": list(result.eigensolves)})
     print(f"calibrate: C_emp = {result.value:.6g} over {size} members [{result.fingerprint}]")
     return EXIT_OK
 

@@ -58,6 +58,19 @@ def _section(cfg: dict, name: str) -> dict:
     return sec
 
 
+def _optional_section(parent: dict, name: str, where: str | None = None) -> dict:
+    """``parent[name]`` as a mapping, ``{}`` when absent or null.
+
+    ``where`` names the section in the error (default ``name``).
+    """
+    sec = parent.get(name)
+    if sec is None:
+        return {}
+    if not isinstance(sec, dict):
+        raise ConfigError(f"config section {where or name!r} must be a mapping")
+    return sec
+
+
 def _as_number(value, where: str, kind=float):
     """``kind(value)``, or a ConfigError naming ``where`` if that fails."""
     try:

@@ -43,6 +43,15 @@ class BudgetExceeded(RuntimeError):
     """A dense matrix or an N x N scan would blow the memory budget."""
 
 
+def _format_bytes(count: float) -> str:
+    """A byte count in the largest decimal unit it reaches, B up to GB."""
+    for unit, scale in (("GB", 1e9), ("MB", 1e6), ("kB", 1e3)):
+        if count >= scale:
+            value = count / scale
+            return f"{value:.0f} {unit}" if value >= 10 else f"{value:.1f} {unit}"
+    return f"{count:.0f} B"
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Uniform periodic lattice on the cell [0, period)^dim.

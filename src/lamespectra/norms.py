@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .lattice import DEFAULT_BUDGET_BYTES, BudgetExceeded, Lattice, ScalarField, scalar_lp_norm
+from .lattice import (
+    DEFAULT_BUDGET_BYTES,
+    BudgetExceeded,
+    Lattice,
+    ScalarField,
+    _format_bytes,
+    scalar_lp_norm,
+)
 from .lame import Potential
 
 __all__ = [
@@ -336,8 +343,8 @@ def kerman_sayer_norm(V: Potential, alpha: float, eps_mass: float = EPS_MASS,
     need = _ks_bytes(lat)
     if need > budget_bytes:
         raise BudgetExceeded(
-            f"Kerman-Sayer scan over N = {lat.npoints} cells needs {need / 1e6:.0f} MB, "
-            f"budget is {budget_bytes / 1e6:.0f} MB"
+            f"Kerman-Sayer scan over N = {lat.npoints} cells needs {_format_bytes(need)}, "
+            f"budget is {_format_bytes(budget_bytes)}"
         )
     h = lat.spacing
     absV = np.abs(V.values)

@@ -5,13 +5,17 @@ rebuild each reduction from scratch; they share nothing with the library
 implementations except the defining formulas, evaluated with the same
 floating-point operation order so agreement can be checked bit for bit.
 The square-well solver works on the continuum line problem via the standard
-transcendental matching conditions, nothing spectral or grid-based.
+transcendental matching conditions, nothing spectral or grid-based.  The
+full-eig spectrum is the slow dense route: every eigenvector from one
+``numpy.linalg.eig``, then the library's own filters.
 """
 
 import itertools
 
 import numpy as np
 from scipy.optimize import brentq
+
+from lamespectra import spectra
 
 
 def mc_norm_brute(V, alpha, p):
@@ -213,3 +217,22 @@ def well_bound_states(depth, half_width, c):
             roots.append(brentq(odd_gap, lo, hi, xtol=1e-14, rtol=1e-15))
     z = np.sort(np.array([c * k * k - depth for k in roots]))
     return z[z < 0.0]
+
+
+def eigenvalues_by_full_eig(params, V, tau_filter=None, tau_res=None):
+    """``discrete_eigenvalues`` through ``numpy.linalg.eig`` of the whole matrix.
+
+    Every eigenpair goes to the library's distance and residual filters
+    (``spectra._package``): the slow reference for the library's route,
+    which builds eigenvectors only for eigenvalues past the distance filter.
+    """
+    lat = V.lattice
+    if tau_filter is None:
+        tau_filter = spectra.default_tau_filter(params, lat)
+    if tau_res is None:
+        tau_res = spectra.default_tau_res(params, lat)
+    A = spectra.dense_operator_matrix(params, V)
+    w, vecs = np.linalg.eig(A)
+    pairs = ((w[i], spectra._vector_from_flat(lat, vecs[:, i])) for i in range(len(w)))
+    info = {"method": "dense", "matrix_order": A.shape[0]}
+    return spectra._package(params, V, lat, pairs, tau_filter, tau_res, info)

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import well_bound_states
 from lamespectra.cli import main
+from lamespectra.spectra import _EIG_FALLBACK
 
 WELL_CONFIG = """
 lattice: {dim: 1, points: 192, period: 30.0}
@@ -211,6 +212,40 @@ def test_norms_sidecar_times_each_entry(tmp_path):
     assert all(isinstance(t, float) and t >= 0.0 for t in meta["norm_seconds"])
 
 
+@pytest.mark.parametrize("command, extra, report", [
+    ("spectrum", "", "spectrum.json"),
+    ("enclosure", "enclosure: {theorem: T1d, gamma: 0.5}\n", "enclosure.json"),
+])
+def test_sidecar_records_the_eigensolve(tmp_path, command, extra, report):
+    cfg = _write(tmp_path, WELL_CONFIG + extra)
+    out = tmp_path / "out"
+    assert main([command, "-c", cfg, "-o", str(out)]) == 0
+    (solve,) = _json(out, report + ".meta.json")["eigensolves"]
+    assert solve["eigenvector_route"] == "inverse_iteration"
+    assert solve["lu_solves"] == 2  # the well's two bound states
+    assert solve["eigensolve_seconds"] > 0.0
+    if command == "spectrum":
+        assert set(_json(out, report)["solver_info"]).isdisjoint(solve)
+
+
+def test_calibrate_sidecar_records_each_eigensolve(tmp_path):
+    cfg = _write(tmp_path, CALIBRATE_CONFIG)
+    out = tmp_path / "out"
+    assert main(["calibrate", "-c", cfg, "-o", str(out)]) == 0
+    solves = _json(out, "calibration.json.meta.json")["eigensolves"]
+    members = _json(out, "calibration.json")["members"]
+    assert [s["member"] for s in solves] == [m["index"] for m in members if m["rhs"] > 0.0]
+    for s in solves:
+        kept = members[s["member"]]["n_eigenvalues"]
+        if s["eigenvector_route"] == "eig":
+            assert s["lu_solves"] == 0 and kept > _EIG_FALLBACK
+        else:
+            assert s["eigenvector_route"] == "inverse_iteration" and s["lu_solves"] == kept
+        assert s["eigensolve_seconds"] > 0.0
+    # with the default distance filter this ensemble takes both routes
+    assert {s["eigenvector_route"] for s in solves} == {"eig", "inverse_iteration"}
+
+
 def test_norms_ks_budget_exit_code(tmp_path, capsys):
     # 3d n=32: the N x N scan would need ~8.6 GB; the guard refuses up front
     cfg = _write(
@@ -324,10 +359,16 @@ _RESOLVENT = "lattice: {dim: 1, points: 16}\nmaterial: {lambda: 0.0, mu: 1.0}\nr
          "norms: [{name: lp, p: two}]\n", "norms[0].p"),
         ("decompose", "lattice: {dim: 1, points: 16}\nseed: abc\n", "seed"),
         ("decompose", "lattice: {dim: 1, points: many}\n", "lattice.points"),
+        ("resolvent-check", _RESOLVENT + "[1, 2]\n", "'resolvent'"),
+        ("bs-check", WELL_CONFIG + "bs: 3\n", "'bs'"),
+        ("decompose", "lattice: {dim: 1, points: 16}\ndecompose: [random]\n", "'decompose'"),
+        ("calibrate", CALIBRATE_CONFIG.replace("{family: gaussian, size: 3}", "gaussian"),
+         "'calibrate.ensemble'"),
     ],
     ids=["resolvent-z-on-ray", "bs-z-on-ray", "bs-spectrum-point-on-ray", "solver-tau-filter",
          "solver-tau-res", "solver-budget", "resolvent-samples", "bs-limit", "enclosure-margin",
-         "calibrate-size", "norms-parameter", "seed", "lattice-points"],
+         "calibrate-size", "norms-parameter", "seed", "lattice-points", "resolvent-not-mapping",
+         "bs-not-mapping", "decompose-not-mapping", "ensemble-not-mapping"],
 )
 def test_bad_value_exit_code(tmp_path, capsys, command, text, named):
     cfg = _write(tmp_path, text)

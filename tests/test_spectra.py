@@ -1,13 +1,20 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
 
-from oracles import well_bound_states
+from oracles import eigenvalues_by_full_eig, well_bound_states
+from test_acceptance import _bs_fixtures
 from lamespectra.lame import LameParams, Potential, apply_lame, apply_perturbed
 from lamespectra.lattice import Lattice, VectorField, random_vector_field
 from lamespectra.norms import polynomial_weight
-from lamespectra.potentials import gaussian_bump, square_well
+from lamespectra.potentials import gaussian_bump, random_ensemble, square_well
 from lamespectra.spectra import (
+    _EIG_FALLBACK,
+    _dense_peak_bytes,
+    _inverse_iteration,
     BSOperator,
     BudgetExceeded,
     bs_check,
@@ -77,10 +84,52 @@ def test_dense_resolvent_rejects_ray():
 
 
 def test_budget_exceeded_suggests_size():
-    lat = Lattice(2, 64)
-    with pytest.raises(BudgetExceeded, match="try n <=") as err:
-        dense_lame_matrix(LameParams(1.0, 1.0), lat, budget_bytes=10 * 1024**2)
-    assert "dimension 2" in str(err.value)
+    params = LameParams(1.0, 1.0)
+    budget = 10 * 1024**2
+    with pytest.raises(BudgetExceeded) as err:
+        dense_lame_matrix(params, Lattice(2, 64), budget_bytes=budget)
+    assert "budget is 10 MB" in str(err.value)
+    # the hint comes from the model the check uses: n fits, n + 2 does not
+    n = int(re.search(r"try n <= (\d+) in dimension 2", str(err.value)).group(1))
+    dense_lame_matrix(params, Lattice(2, n), budget_bytes=budget)
+    with pytest.raises(BudgetExceeded):
+        dense_lame_matrix(params, Lattice(2, n + 2), budget_bytes=budget)
+
+
+def test_budget_exceeded_when_no_lattice_fits():
+    # 3d n=4 is order 192; nothing smaller exists, so no size is suggested
+    with pytest.raises(BudgetExceeded) as err:
+        dense_lame_matrix(LameParams(1.0, 1.0), Lattice(3, 4), budget_bytes=100_000)
+    text = str(err.value)
+    assert "try n" not in text
+    assert "budget is 100 kB" in text
+    need = _dense_peak_bytes(192)
+    assert f"even n = 4 needs {need / 1e6:.1f} MB in dimension 3" in text
+
+
+def test_dense_peak_matches_model():
+    # tracemalloc sees every buffer of the solve: the matrices are numpy
+    # arrays and scipy's LAPACK wrappers allocate their workspace through
+    # numpy (numpy.linalg's own gufuncs would not be traced).  The buffers
+    # held do not depend on the values, so the cell is made so large that
+    # the symbol of -Delta* underflows to 0: A = diag(V), which LAPACK
+    # splits at once, and every shift A - z is exactly singular.
+    params = LameParams(0.0, 1.0)
+    for order, tau_filter, route in ((512, 509.5, "inverse_iteration"),
+                                     (1152, 1149.5, "inverse_iteration"),
+                                     (512, 0.5, "eig")):
+        V = Potential.from_array(Lattice(1, order, 1e200), -1.0 - np.arange(order))
+        tracemalloc.start()
+        try:
+            res = discrete_eigenvalues(params, V, tau_filter=tau_filter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.eigensolve["eigenvector_route"] == route
+        assert len(res) == order - res.solver_info["rejected_by_distance"]
+        assert np.all(np.isfinite(res.residuals))
+        model = _dense_peak_bytes(order)
+        assert 0.9 * model <= peak <= model, (order, route, peak, model)
 
 
 def test_width_and_default_thresholds():
@@ -144,6 +193,49 @@ def test_result_invariants_and_dict():
     # every candidate is kept or rejected by exactly one filter
     rejected = info["rejected_by_distance"] + info["rejected_by_residual"]
     assert len(res) + rejected == info["matrix_order"]
+
+
+def _fast_route_cases():
+    lu = "inverse_iteration"
+    cases = [pytest.param(params, V, tau, lu, id=f"bs-fixture-{i}")
+             for i, (params, V, tau) in enumerate(_bs_fixtures())]
+    V, _ = _well_fixture(128)
+    cases.append(pytest.param(WELL_PARAMS, V, 0.5, lu, id="well-128"))
+    zero = Potential.from_array(Lattice(1, 32, 5.0), np.zeros(32))
+    cases.append(pytest.param(LameParams(1.0, 1.0), zero, None, lu, id="zero"))
+    cases.append(pytest.param(LameParams(0.0, 0.5), gaussian_bump(Lattice(1, 128, 20.0), -12.0, 1.5),
+                              0.1, lu, id="real-gaussian"))
+    # a calibrate member at order 512 with 22 eigenvalues past the filter
+    member = random_ensemble(Lattice(2, 16), "gaussian", 1, seed=9)[0]
+    cases.append(pytest.param(LameParams(0.5, 1.0), member, 4.3, lu, id="calibrate-member"))
+    # 56 bound states: more than _EIG_FALLBACK
+    well = square_well(Lattice(1, 192, 30.0), 300.0, 5.0)
+    cases.append(pytest.param(WELL_PARAMS, well, 0.5, "eig", id="many-survivors"))
+    return cases
+
+
+@pytest.mark.parametrize("params, V, tau_filter, route", _fast_route_cases())
+def test_fast_route_matches_full_eig(params, V, tau_filter, route):
+    fast = discrete_eigenvalues(params, V, tau_filter=tau_filter)
+    slow = eigenvalues_by_full_eig(params, V, tau_filter=tau_filter)
+    assert len(fast) == len(slow)
+    for key in ("rejected_by_distance", "rejected_by_residual"):
+        assert fast.solver_info[key] == slow.solver_info[key]
+    gap = np.abs(fast.eigenvalues - slow.eigenvalues)
+    assert np.all(gap <= 1e-10 * np.abs(slow.eigenvalues))
+    survivors = fast.solver_info["matrix_order"] - fast.solver_info["rejected_by_distance"]
+    assert (survivors > _EIG_FALLBACK) == (route == "eig")
+    assert fast.eigensolve["eigenvector_route"] == route
+    assert fast.eigensolve["lu_solves"] == (survivors if route == "inverse_iteration" else 0)
+
+
+def test_inverse_iteration_at_an_exact_eigenvalue():
+    # A - 2 has an exactly zero pivot; it must not turn the vector into NaN
+    A = np.diag([1.0, 2.0, 3.0, 5.0]).astype(complex)
+    work = np.empty_like(A, order="F")
+    u = _inverse_iteration(A, 2.0, work, np.ones(4, dtype=complex))
+    assert np.all(np.isfinite(u))
+    assert np.linalg.norm(A @ u - 2.0 * u) <= 1e-12 * np.linalg.norm(u)
 
 
 def test_shift_invert_matches_dense():
