@@ -245,6 +245,7 @@ def cmd_norms(cfg: dict, args) -> int:
     budget_bytes = _solver_kwargs(cfg)["budget_bytes"]
     entries = []
     seconds = []
+    products = []
     for i, req in enumerate(requests):
         if not isinstance(req, dict) or "name" not in req:
             raise ConfigError(f"each norms entry needs a 'name', got {req!r}")
@@ -256,8 +257,11 @@ def cmd_norms(cfg: dict, args) -> int:
             raise ConfigError(str(exc)) from exc
         seconds.append(time.perf_counter() - start)
         entries.append(res.to_dict())
+        if res.scan:
+            products.append({"entry": i, **res.scan})
     write_report({"norms": entries}, out / "norms.json")
-    write_metadata(out / "norms.json", extra={"norm_seconds": seconds})
+    write_metadata(out / "norms.json",
+                   extra={"norm_seconds": seconds, "kerman_sayer_products": products})
     print(f"norms: {len(entries)} computed")
     return EXIT_OK
 

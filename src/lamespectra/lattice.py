@@ -275,22 +275,25 @@ def _frequency_dot(lattice: Lattice, fhat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate_symbol(m, lattice: Lattice, matrix: bool) -> np.ndarray:
-    """Evaluate a multiplier at every lattice frequency.
+def _evaluate_symbol(m, lattice: Lattice, vector: bool) -> tuple:
+    """A multiplier at every lattice frequency, and whether it is a matrix.
 
-    ``m`` may be a callable of the frequency vector (shape (dim,)) or a
-    precomputed array.  Scalar symbols have the grid shape; matrix symbols
-    carry trailing (dim, dim) axes.
+    ``m`` is a callable of the whole frequency grid, shape (dim, *grid),
+    returning the grid shape for a scalar symbol or (dim, dim, *grid) for a
+    matrix one (as ``lame.lame_symbol`` does), or a precomputed array of the
+    grid shape or, for a matrix, the grid shape plus trailing (dim, dim)
+    axes.  Only a ``vector`` field takes a matrix symbol.  Matrix symbols
+    come back with trailing (dim, dim) axes.
     """
-    expect = lattice.shape + ((lattice.dim,) * 2 if matrix else ())
-    if callable(m):
-        freq = lattice.frequency_grid
-        sym = [m(freq[(slice(None),) + idx]) for idx in np.ndindex(lattice.shape)]
-        return np.array(sym, dtype=np.complex128).reshape(expect)
-    sym = np.asarray(m, dtype=np.complex128)
+    d = lattice.dim
+    sym = np.asarray(m(lattice.frequency_grid) if callable(m) else m, dtype=np.complex128)
+    matrix = vector and sym.ndim == d + 2
+    if matrix and callable(m):
+        sym = np.moveaxis(sym, (0, 1), (-2, -1))
+    expect = lattice.shape + ((d, d) if matrix else ())
     if sym.shape != expect:
         raise ValueError(f"symbol array has shape {sym.shape}, expected {expect}")
-    return sym
+    return sym, matrix
 
 
 def _check_symbol_finite(sym: np.ndarray, lattice: Lattice) -> None:
@@ -309,20 +312,18 @@ def apply_multiplier(m, field):
     Parameters
     ----------
     m : callable or ndarray
-        For a ScalarField: xi -> complex scalar.  For a VectorField: xi ->
-        (dim, dim) matrix acting on coefficient vectors, or a scalar symbol
-        applied componentwise.  Precomputed symbol arrays are accepted with
-        the shapes produced by the callable form.
+        A callable gets the frequency grid (dim, *grid) once.  For a
+        ScalarField it returns the symbol on the grid shape.  For a
+        VectorField it returns either that, applied componentwise, or a
+        (dim, dim, *grid) matrix acting on coefficient vectors.  Precomputed
+        arrays have the grid shape, or for a matrix the grid shape plus
+        trailing (dim, dim) axes.
     field : ScalarField or VectorField
     """
     lattice = field.lattice
     if not isinstance(field, (ScalarField, VectorField)):
         raise TypeError(f"expected ScalarField or VectorField, got {type(field).__name__}")
-    matrix = False
-    if isinstance(field, VectorField):
-        probe = np.asarray(m(np.zeros(lattice.dim)) if callable(m) else m)
-        matrix = probe.ndim == (2 if callable(m) else lattice.dim + 2)
-    sym = _evaluate_symbol(m, lattice, matrix=matrix)
+    sym, matrix = _evaluate_symbol(m, lattice, vector=isinstance(field, VectorField))
     _check_symbol_finite(sym, lattice)
     fhat = forward_transform(field).values
     out = np.einsum("...jk,k...->j...", sym, fhat) if matrix else fhat * sym

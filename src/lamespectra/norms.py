@@ -9,6 +9,7 @@ cubes run from the whole cell down to single cells when n is a power of two.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -70,6 +71,9 @@ class NormResult:
     params: dict
     value: float
     witness: dict | None = field(default=None)
+    # what the scan computed (the KS product counts); run metadata, kept out
+    # of to_dict so the report stays byte-stable
+    scan: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -262,17 +266,18 @@ def _first_above(cand: np.ndarray, best: float):
 
 # -- Kerman-Sayer ------------------------------------------------------------
 
-# products per block when filling a numerator buffer; keeps the block
-# temporaries small next to the N x N buffer
-_KS_BLOCK = 1 << 16
+# Products formed at once: one leaf of a cube's summation walk, or one chunk
+# of small cubes.  The scan holds two buffers of this size besides O(N).
+_KS_LEAF = 1 << 16
 
 
-def _ks_kernel(lattice: Lattice, side: int, alpha: float) -> np.ndarray:
-    """Pairwise |x-y|^(alpha-dim) inside one cube, zero on the diagonal.
+def _ks_windows(lattice: Lattice, side: int, alpha: float) -> np.ndarray:
+    """Pairwise |x-y|^(alpha-dim) inside one cube as a (side,)*2dim view.
 
     The power is evaluated once per nonnegative offset, on its integer
     squared length, and reflected to the offsets -(side-1)..side-1 per
-    axis; kernel row x is the window of that table starting at offset -x.
+    axis; entry [x][y] (multi-indices) reads the window of that table
+    starting at offset -x, so it is zero at x == y.
     """
     d = lattice.dim
     m = sum(np.ix_(*(np.arange(side) ** 2,) * d)).reshape(-1)
@@ -280,39 +285,161 @@ def _ks_kernel(lattice: Lattice, side: int, alpha: float) -> np.ndarray:
     table[1:] = (lattice.spacing * np.sqrt(m[1:])) ** (alpha - d)
     fold = np.abs(np.arange(1 - side, side))
     offsets = table.reshape((side,) * d)[np.ix_(*(fold,) * d)]
-    kern = np.empty((side,) * (2 * d))
-    kern[...] = sliding_window_view(offsets, (side,) * d)[(slice(None, None, -1),) * d]
-    return kern.reshape(side**d, side**d)
+    return sliding_window_view(offsets, (side,) * d)[(slice(None, None, -1),) * d]
 
 
-def _ks_numerators(lattice: Lattice, side: int, alpha: float, W: np.ndarray) -> np.ndarray:
+def _row_boxes(start: int, stop: int, shape: tuple):
+    """Boxes (tuples of slices) covering flat indices start..stop-1 of ``shape``.
+
+    Row-major order; at most 2 len(shape) - 1 boxes.
+    """
+    if len(shape) == 1:
+        yield (slice(start, stop),)
+        return
+    inner = math.prod(shape[1:])
+    i0, r0 = divmod(start, inner)
+    i1, r1 = divmod(stop, inner)
+    if i0 == i1:
+        for box in _row_boxes(r0, r1, shape[1:]):
+            yield (slice(i0, i0 + 1),) + box
+        return
+    if r0:
+        for box in _row_boxes(r0, inner, shape[1:]):
+            yield (slice(i0, i0 + 1),) + box
+        i0 += 1
+    if i1 > i0:
+        yield (slice(i0, i1),) + (slice(None),) * (len(shape) - 1)
+    if r1:
+        for box in _row_boxes(0, r1, shape[1:]):
+            yield (slice(i1, i1 + 1),) + box
+
+
+def _ks_rows_times(win: np.ndarray, start: int, rows: np.ndarray) -> None:
+    """rows *= kernel rows of the cells start, start+1, ... (row-major)."""
+    d = win.ndim // 2
+    r = 0
+    for box in _row_boxes(start, start + len(rows), win.shape[:d]):
+        kern = win[box]
+        m = math.prod(kern.shape[:d])
+        seg = rows[r:r + m].reshape(kern.shape)
+        np.multiply(kern, seg, out=seg)
+        r += m
+
+
+def _pairwise_sum(a: int, n: int, leaf, is_zero) -> float:
+    """np.sum of elements a..a+n-1 of a run that is never built.
+
+    Walks numpy's pairwise-summation tree (``pairwise_sum`` in
+    numpy/_core/src/umath/loops_utils.h.src): a node of n > 128 elements is
+    the sum of its halves split at n//2 - (n//2) % 8.  A node of at most
+    ``_KS_LEAF`` elements is ``leaf(a, n)``, which must be np.sum of those
+    elements; a node where ``is_zero(a, n)`` holds is +0.0.  For elements
+    >= +0.0 the result is that of one np.sum over the run, bit for bit.
+    """
+    if is_zero(a, n):
+        return 0.0
+    if n <= _KS_LEAF:
+        return leaf(a, n)
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(a, n2, leaf, is_zero) + _pairwise_sum(a + n2, n - n2, leaf, is_zero)
+
+
+def _ks_slab_sum(win: np.ndarray, w: np.ndarray, scale: float, exact: bool,
+                 buf: np.ndarray, counts: dict) -> float:
+    """np.sum of one cube's products (kern * (w_x * w_y)) * scale, x-major.
+
+    Leaves form their rows of products in ``buf`` (at least _KS_LEAF + 2K
+    long).  A node whose rows, or whose columns within one row, all have
+    w == 0 is skipped when ``exact`` says such products are +0.0 (finite w,
+    kernel and scale).
+    """
+    K = w.size
+    nonzero = np.concatenate(([0], np.cumsum(w != 0)))
+
+    def is_zero(a, n):
+        x0, x1 = a // K, (a + n - 1) // K + 1
+        y0 = a - x0 * K
+        zero = exact and (nonzero[x1] == nonzero[x0]
+                          or (x1 - x0 == 1 and nonzero[y0 + n] == nonzero[y0]))
+        if zero:
+            counts["products_skipped_zero"] += n
+        return zero
+
+    def leaf(a, n):
+        x0, x1 = a // K, (a + n - 1) // K + 1
+        rows = buf[:(x1 - x0) * K].reshape(x1 - x0, K)
+        np.multiply(w[x0:x1, None], w, out=rows)
+        _ks_rows_times(win, x0, rows)
+        y0 = a - x0 * K
+        products = buf[y0:y0 + n]
+        products *= scale
+        counts["products_formed"] += n
+        return np.sum(products)
+
+    return _pairwise_sum(0, K * K, leaf, is_zero)
+
+
+def _ks_numerators(lattice: Lattice, side: int, alpha: float, W: np.ndarray,
+                   counts: dict) -> np.ndarray:
     """IntInt_{QxQ, x!=y} |V(x)||V(y)| |x-y|^(alpha-dim) for each row of W.
 
-    Rows of W hold the cells of cubes of one side.  The products fill one
-    buffer block by block (the kernel's own buffer for a single cube), and
-    one np.sum per cube over its contiguous slab keeps the pairwise-summation
-    tree, and so every bit, of the dense expression
-    np.sum((w[:, None] * w[None, :]) * kern * h**(2 dim)).
+    Rows of W hold the cells of cubes of one side.  Each value is the bits
+    of the dense expression np.sum((kern * (w[:, None] * w[None, :])) *
+    h**(2 dim)): small cubes are summed in chunks of whole slabs, large ones
+    along numpy's summation tree without forming their slab.  ``counts``
+    gains the products formed and those skipped as exact zeros.
     """
     cubes, K = W.shape
-    kern = _ks_kernel(lattice, side, alpha)[None]
-    P = kern if cubes == 1 else np.empty((cubes, K, K))
-    per_chunk = max(1, _KS_BLOCK // K**2)
-    per_rows = min(K, max(1, _KS_BLOCK // K))
+    d = lattice.dim
+    win = _ks_windows(lattice, side, alpha)
+    scale = lattice.spacing ** (2 * d)
+    if K * K > _KS_LEAF:
+        # a zero weight gives +0.0 products only next to finite factors;
+        # kernel row 0 holds the value of every offset
+        finite = bool(np.isfinite(scale)) and bool(np.all(np.isfinite(win[(0,) * d])))
+        buf = np.empty(_KS_LEAF + 2 * K)
+        return np.array([_ks_slab_sum(win, w, scale, finite and bool(np.all(np.isfinite(w))),
+                                      buf, counts) for w in W])
+    kern = np.empty(win.shape)
+    kern[...] = win
+    kern = kern.reshape(K, K)
+    per_chunk = _KS_LEAF // (K * K)
+    buf = np.empty(min(cubes, per_chunk) * K * K)
+    out = np.empty(cubes)
     for c in range(0, cubes, per_chunk):
-        ch = slice(c, c + per_chunk)
-        for r in range(0, K, per_rows):
-            rows = slice(r, r + per_rows)
-            np.multiply(kern[:, rows], W[ch, rows, None] * W[ch, None, :], out=P[ch, rows])
-    P *= lattice.spacing ** (2 * lattice.dim)
-    return np.sum(P.reshape(cubes, K * K), axis=1)
+        chunk = W[c:c + per_chunk]
+        P = buf[:len(chunk) * K * K].reshape(len(chunk), K, K)
+        np.multiply(chunk[:, :, None], chunk[:, None, :], out=P)
+        P *= kern
+        P *= scale
+        out[c:c + per_chunk] = np.sum(P.reshape(len(chunk), K * K), axis=1)
+    counts["products_formed"] += cubes * K * K
+    return out
 
 
 def _ks_bytes(lattice: Lattice) -> int:
-    """Modelled peak of the KS scan: the whole-cell N x N buffer, the
-    row-block temporaries and a few length-N arrays."""
+    """Modelled peak of the KS scan, in bytes.
+
+    Held throughout: |V|, one level's blocks and its kept blocks (3N
+    floats).  Per level: the reflected offset table, (2 side - 1)^dim
+    floats, and either one leaf buffer plus a cube's prefix counts (large
+    cubes) or the cube kernel plus one chunk of slabs (small cubes).  Plus
+    the buffers numpy's ufunc loops may take for strided operands, and 16 kB
+    for index arrays and per-cube scalars.
+    """
     npts = lattice.npoints
-    return 8 * (npts**2 + 2 * max(_KS_BLOCK, npts) + 4 * npts)
+    d = lattice.dim
+    worst = 0
+    for level in range(dyadic_level_max(lattice.n) + 1):
+        side = lattice.n >> level
+        K = side**d
+        if K * K > _KS_LEAF:
+            work = _KS_LEAF + 4 * K
+        else:
+            work = K * K * (1 + min(npts // K, _KS_LEAF // (K * K)))
+        worst = max(worst, (2 * side - 1) ** d + work)
+    return 8 * (3 * npts + worst + 2 * np.getbufsize() + 2048)
 
 
 def ks_cube_value(V: Potential, alpha: float, cube: DyadicCube,
@@ -323,18 +450,21 @@ def ks_cube_value(V: Potential, alpha: float, cube: DyadicCube,
     mass = np.sum(w) * lat.spacing**lat.dim
     if not mass > eps_mass:
         return 0.0
-    return float(_ks_numerators(lat, cube.side, alpha, w[None])[0] / mass)
+    counts = {"products_formed": 0, "products_skipped_zero": 0}
+    return float(_ks_numerators(lat, cube.side, alpha, w[None], counts)[0] / mass)
 
 
 def kerman_sayer_norm(V: Potential, alpha: float, eps_mass: float = EPS_MASS,
                       return_witness: bool = False,
-                      budget_bytes: int = DEFAULT_BUDGET_BYTES):
+                      budget_bytes: int = DEFAULT_BUDGET_BYTES,
+                      counts: dict | None = None):
     """Discrete Kerman-Sayer norm over the dyadic cube family.
 
     Cubes with quadrature mass <= eps_mass are skipped; single-cell cubes
     contribute zero because the diagonal is excluded.  Raises
-    :class:`BudgetExceeded`, before allocating, when the N x N scan would
-    not fit ``budget_bytes``.
+    :class:`BudgetExceeded`, before any work, when the scan's chunk memory
+    would not fit ``budget_bytes``.  A ``counts`` dict, if given, receives
+    ``products_formed`` and ``products_skipped_zero`` over the cubes scanned.
     """
     lat = V.lattice
     d = lat.dim
@@ -346,6 +476,9 @@ def kerman_sayer_norm(V: Potential, alpha: float, eps_mass: float = EPS_MASS,
             f"Kerman-Sayer scan over N = {lat.npoints} cells needs {_format_bytes(need)}, "
             f"budget is {_format_bytes(budget_bytes)}"
         )
+    if counts is None:
+        counts = {}
+    counts.update(products_formed=0, products_skipped_zero=0)
     h = lat.spacing
     absV = np.abs(V.values)
     best = 0.0
@@ -357,7 +490,7 @@ def kerman_sayer_norm(V: Potential, alpha: float, eps_mass: float = EPS_MASS,
         kept = np.flatnonzero(mass > eps_mass)
         if kept.size == 0:
             continue
-        cand = _ks_numerators(lat, side, alpha, W[kept]) / mass[kept]
+        cand = _ks_numerators(lat, side, alpha, W[kept], counts) / mass[kept]
         i = _first_above(cand, best)
         if i is not None:
             best = float(cand[i])
@@ -454,9 +587,11 @@ def norm_result(name: str, V: Potential, budget_bytes: int = DEFAULT_BUDGET_BYTE
     if name == "kerman_sayer":
         alpha = params["alpha"]
         eps_mass = params.get("eps_mass", EPS_MASS)
+        counts = {}
         value, witness = kerman_sayer_norm(V, alpha, eps_mass=eps_mass, return_witness=True,
-                                           budget_bytes=budget_bytes)
-        return NormResult("kerman_sayer", {"alpha": alpha, "eps_mass": eps_mass}, value, witness)
+                                           budget_bytes=budget_bytes, counts=counts)
+        return NormResult("kerman_sayer", {"alpha": alpha, "eps_mass": eps_mass}, value, witness,
+                          counts)
     if name == "muckenhoupt":
         p = params["p"]
         eps_w = params.get("eps_w", EPS_WEIGHT)

@@ -230,7 +230,7 @@ def _package(params, V, lattice, pairs, tau_filter, tau_res, info) -> SpectralRe
             by_distance += 1
             continue
         res = _operator_residual(params, V, z, u)
-        if res >= tau_res:
+        if not res < tau_res:  # a NaN residual fails too
             by_residual += 1
             continue
         kept.append((z, res))

@@ -4,6 +4,8 @@ The norm scans here walk every candidate with explicit Python loops and
 rebuild each reduction from scratch; they share nothing with the library
 implementations except the defining formulas, evaluated with the same
 floating-point operation order so agreement can be checked bit for bit.
+The in-memory Kerman-Sayer numerators keep the scan's former route, which
+holds each cube's whole K x K slab of products.
 The square-well solver works on the continuum line problem via the standard
 transcendental matching conditions, nothing spectral or grid-based.  The
 full-eig spectrum is the slow dense route: every eigenvector from one
@@ -13,6 +15,7 @@ full-eig spectrum is the slow dense route: every eigenvector from one
 import itertools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
 
 from lamespectra import spectra
@@ -105,6 +108,34 @@ def ks_norm_dense(V, alpha, eps_mass=0.0):
             best = cand
             best_witness = {"level": level, "corner": list(corner), "side": side}
     return best, best_witness
+
+
+def ks_numerators_in_memory(lattice, side, alpha, W):
+    """Kerman-Sayer numerators of the cubes in the rows of W, slab in memory.
+
+    The scan's former route: the cube kernel is materialised as a K x K
+    array from one power per offset (reflected and windowed as the library
+    does), multiplied in place by w_x w_y block by block, scaled by
+    h**(2 dim), and reduced by one np.sum over the whole slab.
+    """
+    d = lattice.dim
+    K = side**d
+    m = sum(np.ix_(*(np.arange(side) ** 2,) * d)).reshape(-1)
+    table = np.zeros(m.shape)
+    table[1:] = (lattice.spacing * np.sqrt(m[1:])) ** (alpha - d)
+    fold = np.abs(np.arange(1 - side, side))
+    offsets = table.reshape((side,) * d)[np.ix_(*(fold,) * d)]
+    windows = sliding_window_view(offsets, (side,) * d)[(slice(None, None, -1),) * d]
+    out = []
+    for w in W:
+        P = np.empty((side,) * (2 * d))
+        P[...] = windows
+        P = P.reshape(K, K)
+        for r in range(0, K, 256):
+            P[r:r + 256] *= w[r:r + 256, None] * w[None, :]
+        P *= lattice.spacing ** (2 * d)
+        out.append(np.sum(P.reshape(-1)))
+    return np.array(out)
 
 
 def dyadic_cubes_brute(n, dim):

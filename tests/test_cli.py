@@ -246,17 +246,41 @@ def test_calibrate_sidecar_records_each_eigensolve(tmp_path):
     assert {s["eigenvector_route"] for s in solves} == {"eig", "inverse_iteration"}
 
 
+KS_3D_CONFIG = """
+lattice: {dim: 3, points: 32}
+potential: {family: gaussian, amplitude: -4.0, width: 0.7}
+norms:
+  - {name: kerman_sayer, alpha: 1.0}
+"""
+
+
+def test_norms_ks_scan_3d_n32_fits(tmp_path):
+    # N = 32768: the scan holds a leaf buffer and O(N) arrays, never the
+    # 8.6 GB slab, and skips the products outside the Gaussian's support
+    cfg = _write(tmp_path, KS_3D_CONFIG)
+    out = tmp_path / "o"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["norms", "-c", cfg, "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert time.perf_counter() - start < 10.0
+    assert peak <= 64 * 1024**2
+    assert _json(out, "norms.json")["norms"][0]["value"] > 0.0
+    meta = _json(out, "norms.json.meta.json")
+    (counts,) = meta["kerman_sayer_products"]
+    assert counts["entry"] == 0
+    # the six dyadic levels hold 6 N^2 products, fewer in cubes of zero mass
+    assert counts["products_formed"] + counts["products_skipped_zero"] <= 6 * 32768**2
+    assert counts["products_skipped_zero"] > 10 * counts["products_formed"] > 0
+
+
 def test_norms_ks_budget_exit_code(tmp_path, capsys):
-    # 3d n=32: the N x N scan would need ~8.6 GB; the guard refuses up front
-    cfg = _write(
-        tmp_path,
-        """
-        lattice: {dim: 3, points: 32}
-        potential: {family: gaussian, amplitude: -4.0, width: 0.7}
-        norms:
-          - {name: kerman_sayer, alpha: 1.0}
-        """,
-    )
+    # a budget below the scan's chunk model: the guard refuses up front
+    cfg = _write(tmp_path, KS_3D_CONFIG + "solver: {budget_bytes: 2000000}\n")
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -268,8 +292,8 @@ def test_norms_ks_budget_exit_code(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
     assert peak < 32 * 1024**2
     err = capsys.readouterr().err
-    assert "N = 32768 cells needs" in err
-    assert "budget is 537 MB" in err
+    assert "N = 32768 cells needs 4.5 MB" in err
+    assert "budget is 2.0 MB" in err
 
 
 def test_calibrate_ks_scan_honours_budget(tmp_path, capsys):
@@ -280,7 +304,7 @@ def test_calibrate_ks_scan_honours_budget(tmp_path, capsys):
         """
         lattice: {dim: 2, points: 32}
         material: {lambda: 0.5, mu: 1.0}
-        solver: {budget_bytes: 5000000}
+        solver: {budget_bytes: 1000000}
         calibrate:
           theorem: T_KS
           gamma: 0.4

@@ -155,7 +155,7 @@ def test_apply_multiplier_scalar_matches_manual():
     lat = Lattice(1, 16, 2.0 * np.pi)
     rng = np.random.default_rng(2)
     f = random_scalar_field(lat, rng)
-    out = apply_multiplier(lambda xi: np.sum(xi * xi), f)
+    out = apply_multiplier(lambda xi: np.sum(xi * xi, axis=0), f)
     manual = inverse_transform(
         ScalarField(lat, lat.frequency_norm2 * forward_transform(f).values)
     )
@@ -168,7 +168,7 @@ def test_apply_multiplier_accepts_precomputed_array():
     f = random_scalar_field(lat, rng)
     table = np.exp(-lat.frequency_norm2)
     a = apply_multiplier(table, f)
-    b = apply_multiplier(lambda xi: np.exp(-np.sum(xi * xi)), f)
+    b = apply_multiplier(lambda xi: np.exp(-np.sum(xi * xi, axis=0)), f)
     assert np.max(np.abs(a.values - b.values)) < 1e-13
 
 
@@ -179,7 +179,7 @@ def test_apply_multiplier_matrix_symbol_single_mode():
          ScalarField.from_function(lat, lambda x: 0.5 * np.exp(1j * x[0]))]
     )
     # symbol xi xi^T picks out the first component on this mode
-    out = apply_multiplier(lambda xi: np.outer(xi, xi), u)
+    out = apply_multiplier(lambda xi: np.einsum("i...,j...->ij...", xi, xi), u)
     expected = np.stack([u.values[0], np.zeros_like(u.values[1])])
     assert np.max(np.abs(out.values - expected)) < 1e-12
 

@@ -12,15 +12,22 @@ from oracles import (
     dyadic_cubes_brute,
     ks_norm_brute,
     ks_norm_dense,
+    ks_numerators_in_memory,
     mc_norm_brute,
     mc_norm_loop,
 )
 from lamespectra.config import lattice_from_config, potential_from_config
 from lamespectra.lame import Potential
 from lamespectra.lattice import BudgetExceeded, Lattice, ScalarField
+from lamespectra.potentials import gaussian_bump
 from lamespectra.norms import (
+    _KS_LEAF,
     DyadicCube,
     _ks_bytes,
+    _ks_numerators,
+    _ks_windows,
+    _level_blocks,
+    _pairwise_sum,
     ap_cube_value,
     dyadic_cubes,
     dyadic_level_max,
@@ -217,6 +224,136 @@ def test_ks_budget_model_bounds_traced_peak():
     assert 0.8 * need <= peak <= need
     with pytest.raises(BudgetExceeded, match=r"N = 1024 cells needs"):
         kerman_sayer_norm(V, 0.5, budget_bytes=need - 1)
+
+
+# -- the Kerman-Sayer summation tree -----------------------------------------
+
+
+def _walk(x):
+    """(tree sum, elements skipped) of a 1d run, leaves summed by np.sum."""
+    nonzero = np.concatenate(([0], np.cumsum(x != 0)))
+    skipped = []
+
+    def is_zero(a, n):
+        if nonzero[a + n] == nonzero[a]:
+            skipped.append(n)
+            return True
+        return False
+
+    return _pairwise_sum(0, x.size, lambda a, n: np.sum(x[a:a + n]), is_zero), sum(skipped)
+
+
+def _zero_runs(rng, n, longest):
+    # values spread over 1e-9..1e9, alternating with zero runs of up to `longest`
+    x = 10.0 ** rng.uniform(-9.0, 9.0, n)
+    edges = np.cumsum(rng.integers(1, longest, size=n // longest * 2 + 2))
+    for lo, hi in zip(edges[0::2], edges[1::2]):
+        x[lo:hi] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 100, 129, _KS_LEAF, _KS_LEAF + 1, _KS_LEAF + 13,
+                               200_003, 1 << 20, 3_000_017])
+def test_pairwise_walk_matches_np_sum(n):
+    # numpy's own tree (pairwise_sum, split at n//2 - (n//2) % 8), walked in
+    # Python with np.sum leaves and +0.0 for all-zero nodes, is one np.sum:
+    # this fails if numpy ever changes how it splits a run
+    rng = np.random.default_rng(n)
+    x = _zero_runs(rng, n, 400_000)
+    got, skipped = _walk(x)
+    assert got == np.sum(x)
+    if n >= 1 << 20:
+        assert skipped > 0
+
+
+def test_pairwise_walk_matches_np_sum_on_2d_slab():
+    # one np.sum over a C-contiguous 2d slab is the walk over its flat run
+    rng = np.random.default_rng(4)
+    slab = _zero_runs(rng, 1536 * 1536, 300_000).reshape(1536, 1536)
+    slab[100:700] = 0.0
+    got, skipped = _walk(slab.reshape(-1))
+    assert skipped > 0
+    assert got == np.sum(slab)
+
+
+def _ks_potentials(dim, n):
+    lat = Lattice(dim, n)
+    rng = np.random.default_rng(10 * dim + n)
+    spike = np.zeros(lat.shape)
+    spike[(n // 3,) * dim] = 2.5
+    pair = np.zeros(lat.shape)
+    pair[(1,) * dim] = 3.0
+    pair[(n - 2,) + (n // 2,) * (dim - 1)] = 0.5
+    return {
+        "random": rng.normal(size=lat.shape) + 1j * rng.normal(size=lat.shape),
+        "gaussian": gaussian_bump(lat, -4.0, 0.1 * lat.period).values,
+        "spike": spike,
+        "pair": pair,
+        "zero": np.zeros(lat.shape),
+    }
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (1, 1024), (2, 48), (2, 64), (3, 12), (3, 16)])
+def test_ks_numerators_match_in_memory_oracle(dim, n):
+    # every cube of every level, against the former route that holds each
+    # slab; the grids take the leaf walk (straddling rows at n = 48 and 12)
+    # and the chunked small cubes
+    lat = Lattice(dim, n)
+    for name, values in _ks_potentials(dim, n).items():
+        absV = np.abs(values)
+        tree = skipped = 0
+        for level in range(dyadic_level_max(n) + 1):
+            side = n >> level
+            W = _level_blocks(absV, side)
+            counts = {"products_formed": 0, "products_skipped_zero": 0}
+            got = _ks_numerators(lat, side, 0.5, W, counts)
+            assert np.array_equal(got, ks_numerators_in_memory(lat, side, 0.5, W)), (name, side)
+            assert sum(counts.values()) == W.size * side**dim
+            tree += side ** (2 * dim) > _KS_LEAF
+            skipped += counts["products_skipped_zero"]
+        # compact supports skip whole subtrees; a full support skips nothing
+        assert (skipped > 0) == (tree > 0 and name != "random"), name
+
+
+def test_ks_rows_longer_than_a_leaf_skip_zero_columns():
+    # 1d n = 2^17: each row of the whole cell splits into two single-row
+    # leaves, and only the half holding both cells is formed; the slab
+    # (1.7e10 products) has two nonzero entries, whose sum is exact
+    n = 1 << 17
+    lat = Lattice(1, n)
+    a, b = 5, 60_000
+    w = np.zeros((1, n))
+    w[0, a], w[0, b] = 3.0, 0.25
+    counts = {"products_formed": 0, "products_skipped_zero": 0}
+    (got,) = _ks_numerators(lat, n, 0.5, w, counts)
+    kern = _ks_windows(lat, n, 0.5)
+    p = (kern[a, b] * (w[0, a] * w[0, b])) * lat.spacing**2
+    assert got == 2.0 * p > 0.0
+    assert counts == {"products_formed": 2 * n // 2, "products_skipped_zero": n * n - n}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_ks_nonfinite_weight_computes_every_product():
+    # inf * 0 is NaN, so a zero row or column is no longer an exact zero
+    lat = Lattice(1, 1024)
+    w = np.zeros((1, 1024))
+    w[0, 7] = np.inf
+    counts = {"products_formed": 0, "products_skipped_zero": 0}
+    got = _ks_numerators(lat, 1024, 0.5, w, counts)
+    assert np.array_equal(got, ks_numerators_in_memory(lat, 1024, 0.5, w), equal_nan=True)
+    assert counts == {"products_formed": 1024 * 1024, "products_skipped_zero": 0}
+
+
+def test_ks_norm_reports_product_counts():
+    lat = Lattice(2, 64)
+    V = gaussian_bump(lat, -4.0, 0.4)
+    counts = {}
+    value = kerman_sayer_norm(V, 0.5, counts=counts)
+    assert value == kerman_sayer_norm(V, 0.5)
+    assert counts["products_skipped_zero"] > counts["products_formed"] > 0
+    r = norm_result("kerman_sayer", V, alpha=0.5)
+    assert r.scan == counts
+    assert "scan" not in r.to_dict()
 
 
 # -- scans against their loop oracles ----------------------------------------

@@ -15,6 +15,7 @@ from lamespectra.spectra import (
     _EIG_FALLBACK,
     _dense_peak_bytes,
     _inverse_iteration,
+    _package,
     BSOperator,
     BudgetExceeded,
     bs_check,
@@ -236,6 +237,17 @@ def test_inverse_iteration_at_an_exact_eigenvalue():
     u = _inverse_iteration(A, 2.0, work, np.ones(4, dtype=complex))
     assert np.all(np.isfinite(u))
     assert np.linalg.norm(A @ u - 2.0 * u) <= 1e-12 * np.linalg.norm(u)
+
+
+def test_package_rejects_nan_residual():
+    # a non-finite vector has a NaN residual, which must count as a rejection
+    V, _ = _well_fixture(32)
+    lat = V.lattice
+    bad = VectorField(lat, np.full((1,) + lat.shape, np.nan, dtype=complex))
+    res = _package(WELL_PARAMS, V, lat, [(-2.0 + 0.0j, bad)], 0.5, 1e-6, {"method": "test"})
+    assert len(res) == 0
+    assert res.solver_info["rejected_by_residual"] == 1
+    assert res.solver_info["rejected_by_distance"] == 0
 
 
 def test_shift_invert_matches_dense():
