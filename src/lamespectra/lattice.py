@@ -82,7 +82,7 @@ class Lattice:
     @classmethod
     def default(cls, dim: int, period: float = 2.0 * np.pi) -> "Lattice":
         """Lattice with the stock resolution for the given dimension."""
-        return cls(dim, DEFAULT_POINTS[dim], period)
+        return cls(dim, DEFAULT_POINTS.get(dim, 0), period)  # a bad dim fails the dim check
 
     @property
     def spacing(self) -> float:

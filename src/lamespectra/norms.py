@@ -42,6 +42,7 @@ __all__ = [
     "ks_cube_value",
     "ap_cube_value",
     "norm_result",
+    "NORM_PARAMS",
 ]
 
 EPS_MASS = 0.0
@@ -561,41 +562,53 @@ def muckenhoupt_constant(w: ScalarField, p: float, eps_w: float = EPS_WEIGHT,
 # -- reporting ---------------------------------------------------------------
 
 
+# the parameters of each named norm and their defaults; None marks a required one
+NORM_PARAMS = {
+    "lp": {"p": None},
+    "weighted_lq": {"q": None, "alpha": None},
+    "morrey_campanato": {"alpha": None, "p": None},
+    "kerman_sayer": {"alpha": None, "eps_mass": EPS_MASS},
+    "muckenhoupt": {"p": None, "eps_w": EPS_WEIGHT},
+}
+
+
 def norm_result(name: str, V: Potential, budget_bytes: int = DEFAULT_BUDGET_BYTES,
                 **params) -> NormResult:
     """Compute a named norm with its witness, packaged for serialization.
 
-    ``budget_bytes`` bounds the memory of the Kerman-Sayer scan.
+    ``params`` are the norm's parameters from :data:`NORM_PARAMS`; a missing
+    or unexpected one raises ValueError.  ``budget_bytes`` bounds the memory
+    of the Kerman-Sayer scan.
     """
+    if name not in NORM_PARAMS:
+        raise ValueError(f"unknown norm {name!r}")
+    for key, default in NORM_PARAMS[name].items():
+        if key not in params and default is None:
+            raise ValueError(f"norm {name!r} needs the parameter {key!r}")
+        params.setdefault(key, default)
+    unexpected = sorted(set(params) - set(NORM_PARAMS[name]))
+    if unexpected:
+        raise ValueError(f"norm {name!r} takes no parameter {unexpected[0]!r}")
+    counts = {}
     if name == "lp":
-        p = params["p"]
-        value = lp_norm(V, p)
+        value = lp_norm(V, params["p"])
         flat = int(np.argmax(np.abs(V.values)))
         witness = {"argmax_index": [int(i) for i in np.unravel_index(flat, V.lattice.shape)]}
-        return NormResult("lp", {"p": p}, value, witness)
-    if name == "weighted_lq":
+    elif name == "weighted_lq":
         q, alpha = params["q"], params["alpha"]
         value = weighted_lq_norm(V, q, alpha)
         w = polynomial_weight(V.lattice, alpha)
         flat = int(np.argmax(np.abs(V.values) ** q * w))
         witness = {"argmax_index": [int(i) for i in np.unravel_index(flat, V.lattice.shape)]}
-        return NormResult("weighted_lq", {"q": q, "alpha": alpha}, value, witness)
-    if name == "morrey_campanato":
-        alpha, p = params["alpha"], params["p"]
-        value, witness = morrey_campanato_norm(V, alpha, p, return_witness=True)
-        return NormResult("morrey_campanato", {"alpha": alpha, "p": p}, value, witness)
-    if name == "kerman_sayer":
-        alpha = params["alpha"]
-        eps_mass = params.get("eps_mass", EPS_MASS)
-        counts = {}
-        value, witness = kerman_sayer_norm(V, alpha, eps_mass=eps_mass, return_witness=True,
-                                           budget_bytes=budget_bytes, counts=counts)
-        return NormResult("kerman_sayer", {"alpha": alpha, "eps_mass": eps_mass}, value, witness,
-                          counts)
-    if name == "muckenhoupt":
-        p = params["p"]
-        eps_w = params.get("eps_w", EPS_WEIGHT)
+    elif name == "morrey_campanato":
+        value, witness = morrey_campanato_norm(V, params["alpha"], params["p"],
+                                               return_witness=True)
+    elif name == "kerman_sayer":
+        value, witness = kerman_sayer_norm(V, params["alpha"], eps_mass=params["eps_mass"],
+                                           return_witness=True, budget_bytes=budget_bytes,
+                                           counts=counts)
+    else:
         w = ScalarField(V.lattice, np.abs(V.values))
-        value, witness = muckenhoupt_constant(w, p, eps_w=eps_w, return_witness=True)
-        return NormResult("muckenhoupt", {"p": p, "eps_w": eps_w}, value, witness)
-    raise ValueError(f"unknown norm {name!r}")
+        value, witness = muckenhoupt_constant(w, params["p"], eps_w=params["eps_w"],
+                                              return_witness=True)
+    return NormResult(name, params, value, witness, counts)

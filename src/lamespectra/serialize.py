@@ -66,7 +66,7 @@ def vector_to_csv(field: VectorField, path) -> None:
 def _read_rows(path, header):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        got = next(reader)
+        got = next(reader, None)  # an empty file fails the header check
         if got != header:
             raise ValueError(f"unexpected CSV header {got!r}; want {header!r}")
         yield from reader

@@ -222,11 +222,16 @@ def _operator_residual(params: LameParams, V: Potential, z: complex, u: VectorFi
     return l2_norm(r) / l2_norm(u)
 
 
+def _far_from_ray(z: complex, tau_filter: float) -> bool:
+    """The distance filter, the one test of whether an eigenvalue gets a vector."""
+    return distance_to_ray(z) > tau_filter
+
+
 def _package(params, V, lattice, pairs, tau_filter, tau_res, info) -> SpectralResult:
     kept = []
     by_distance = by_residual = 0
     for z, u in pairs:
-        if distance_to_ray(z) <= tau_filter:
+        if not _far_from_ray(z, tau_filter):
             by_distance += 1
             continue
         res = _operator_residual(params, V, z, u)
@@ -295,19 +300,23 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
     ``eig`` at orders 192 to 2048 with one BLAS thread.  Raises
     :class:`BudgetExceeded` when the solve would not fit the budget.  Every
     reported eigenvalue carries a matrix-free residual below ``tau_res``.
+    A NaN or negative ``tau_filter`` or a ``tau_res`` that is not positive
+    raises ValueError.
     """
     lat = V.lattice
     if tau_filter is None:
         tau_filter = default_tau_filter(params, lat)
     if tau_res is None:
         tau_res = default_tau_res(params, lat)
+    if not (tau_filter >= 0.0 and tau_res > 0.0):
+        raise ValueError(f"need tau_filter >= 0 and tau_res > 0, got {tau_filter}, {tau_res}")
     A = dense_operator_matrix(params, V, budget_bytes=budget_bytes)
     order = A.shape[0]
     start_time = time.perf_counter()
     work = np.empty((order, order), dtype=complex, order="F")
     work[...] = A.T
     w = scipy.linalg.eigvals(work, overwrite_a=True, check_finite=False)
-    far = [distance_to_ray(z) > tau_filter for z in w]
+    far = [_far_from_ray(z, tau_filter) for z in w]
     if sum(far) > _EIG_FALLBACK:
         work[...] = A.T
         del A  # the eigenvectors take the operator's place in the memory model

@@ -1,11 +1,20 @@
+import ast
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
 import textwrap
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import well_bound_states
 from lamespectra.cli import main
@@ -357,6 +366,10 @@ def test_budget_exit_code(tmp_path):
 
 
 _RESOLVENT = "lattice: {dim: 1, points: 16}\nmaterial: {lambda: 0.0, mu: 1.0}\nresolvent: "
+_NORMS = ("lattice: {dim: 1, points: 32, period: 8.0}\n"
+          "potential: {family: gaussian, amplitude: 1.0, width: 0.7}\nnorms: ")
+_WELL_16 = "lattice: {dim: 1, points: 16}\nmaterial: {lambda: 0.0, mu: 1.0}\npotential: "
+EIGHT_SAMPLES = Path(__file__).resolve().parent / "data" / "eight_samples.csv"
 
 
 @pytest.mark.parametrize(
@@ -388,17 +401,151 @@ _RESOLVENT = "lattice: {dim: 1, points: 16}\nmaterial: {lambda: 0.0, mu: 1.0}\nr
         ("decompose", "lattice: {dim: 1, points: 16}\ndecompose: [random]\n", "'decompose'"),
         ("calibrate", CALIBRATE_CONFIG.replace("{family: gaussian, size: 3}", "gaussian"),
          "'calibrate.ensemble'"),
+        ("norms", _NORMS + "[{name: lp}]\n", "norms[0].p"),
+        ("spectrum", _WELL_16.replace("lambda: 0.0", "lambda: [1]")
+         + "{family: well, depth: 1.0, half_width: 1.0}\n", "material.lambda"),
+        ("spectrum", _WELL_16 + "{family: well, depth: 1.0, half_width: 1.0, center: [a]}\n",
+         "potential.center"),
+        ("spectrum", _WELL_16 + "{family: well, depth: 1.0, half_width: 1.0, center: 4.0}\n",
+         "potential.center"),
+        ("spectrum", _WELL_16 + "{csv: no_such_dir/V.csv}\n", "potential.csv"),
+        ("spectrum", _WELL_16 + f"{{csv: '{EIGHT_SAMPLES}'}}\n", "potential.csv"),
+        ("enclosure", WELL_CONFIG + "enclosure: {theorem: T1d, gamma: [0.5]}\n",
+         "enclosure.gamma"),
+        ("calibrate", CALIBRATE_CONFIG.replace("family: gaussian", "family: coulomb"),
+         "calibrate.ensemble.family"),
+        ("spectrum", WELL_CONFIG.replace("tau_filter: 0.5", "tau_filter: .nan"),
+         "solver.tau_filter"),
+        ("decompose", "lattice: {dim: 1, points: 16.7}\n", "lattice.points"),
+        ("decompose", "lattice: {dim: 1.9, points: 16}\n", "lattice.dim"),
+        ("calibrate", CALIBRATE_CONFIG.replace("size: 3", "size: 3, real_only: 'no'"),
+         "calibrate.ensemble.real_only"),
+        ("resolvent-check", _RESOLVENT + "{samples: 0}\n", "resolvent.samples"),
+        ("spectrum", WELL_CONFIG.replace("tau_filter: 0.5", "tau_res: -1.0e-9"),
+         "solver.tau_res"),
+        ("spectrum", WELL_CONFIG.replace("tau_filter: 0.5", "tau_filter: -0.5"),
+         "solver.tau_filter"),
+        ("spectrum", WELL_CONFIG + "solvr: {tau_filter: 0.5}\n", "solvr"),
+        ("spectrum", WELL_CONFIG.replace("tau_filter: 0.5", "tau_filtr: 1"),
+         "solver.tau_filtr"),
+        ("norms", _NORMS + "[{name: lp, p: 2, q: 3}]\n", "norms[0].q"),
+        ("decompose", "lattice: {dim: 5}\n", "lattice: dim"),
     ],
     ids=["resolvent-z-on-ray", "bs-z-on-ray", "bs-spectrum-point-on-ray", "solver-tau-filter",
          "solver-tau-res", "solver-budget", "resolvent-samples", "bs-limit", "enclosure-margin",
          "calibrate-size", "norms-parameter", "seed", "lattice-points", "resolvent-not-mapping",
-         "bs-not-mapping", "decompose-not-mapping", "ensemble-not-mapping"],
+         "bs-not-mapping", "decompose-not-mapping", "ensemble-not-mapping",
+         "norms-missing-parameter", "material-lambda-list", "potential-center-text",
+         "potential-center-scalar", "potential-csv-missing", "potential-csv-sample-count",
+         "enclosure-gamma-list", "ensemble-family-unknown", "solver-tau-filter-nan",
+         "lattice-points-fraction", "lattice-dim-fraction", "ensemble-real-only-text",
+         "resolvent-samples-zero", "solver-tau-res-negative", "solver-tau-filter-negative",
+         "unknown-section", "unknown-key", "norms-unexpected-parameter", "lattice-dim-unknown"],
 )
 def test_bad_value_exit_code(tmp_path, capsys, command, text, named):
     cfg = _write(tmp_path, text)
     assert main([command, "-c", cfg, "-o", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("spectrum", WELL_CONFIG.replace("tau_filter: 0.5", "tau_res: -1.0")),
+    ("bs-check", WELL_CONFIG + "bs: {z_values: [[-1.0, 0.5], 2.0]}\n"),
+    ("enclosure", WELL_CONFIG + "enclosure: {theorem: T1d, gamma: 0.5, margin: .nan}\n"),
+    ("norms", _NORMS + "[{name: lp, p: 2.0}, {name: kerman_sayer}]\n"),
+    ("calibrate", CALIBRATE_CONFIG + "solver: {budget_bytes: -1}\n"),
+], ids=["spectrum", "bs-check", "enclosure", "norms", "calibrate"])
+def test_config_is_checked_before_any_compute(tmp_path, monkeypatch, command, text):
+    # the bad key sits in the last section each command reads
+    def compute(*args, **kwargs):
+        raise AssertionError("compute ran before the config check")
+
+    for name in ("discrete_eigenvalues", "norm_result", "calibrate_constant"):
+        monkeypatch.setattr(f"lamespectra.cli.{name}", compute)
+    cfg = _write(tmp_path, text)
+    assert main([command, "-c", cfg, "-o", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_output_under_a_file_exit_code(tmp_path, capsys):
+    cfg = _write(tmp_path, "lattice: {dim: 1, points: 16}\n")
+    (tmp_path / "taken").write_text("")
+    out = str(tmp_path / "taken" / "out")
+    assert main(["decompose", "-c", cfg, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and out in err
+
+
+def _demo_08_config() -> dict:
+    """The config that demos/08_cli_pipeline.py shares across three subcommands."""
+    source = (Path(__file__).resolve().parents[1] / "demos" / "08_cli_pipeline.py").read_text()
+    (node,) = [n for n in ast.parse(source).body
+               if isinstance(n, ast.Assign) and n.targets[0].id == "CONFIG"]
+    return yaml.safe_load(ast.literal_eval(node.value))
+
+
+_LAT16 = {"dim": 1, "points": 16, "period": 8.0}
+_MAT = {"lambda": 0.0, "mu": 1.0}
+_WELL = {"family": "well", "depth": 5.0, "half_width": 1.0}
+FUZZ_BASES = [(command, _demo_08_config()) for command in ("spectrum", "norms", "enclosure")] + [
+    ("decompose", {"lattice": _LAT16, "seed": 3, "decompose": {"field": "gradient"}}),
+    ("resolvent-check", {"lattice": _LAT16, "material": _MAT,
+                         "resolvent": {"z_values": [[-1.0, 0.3], 2.5], "samples": 1}}),
+    ("spectrum", {"lattice": _LAT16, "material": _MAT, "potential": _WELL,
+                  "solver": {"tau_filter": 0.5, "tau_res": 1e-6, "budget_bytes": 10**7}}),
+    ("bs-check", {"lattice": _LAT16, "material": _MAT, "potential": _WELL,
+                  "solver": {"tau_filter": 0.5}, "bs": {"limit": 2, "z_values": [[-1.0, 0.5]]}}),
+    ("norms", {"lattice": _LAT16, "potential": {"family": "gaussian", "amplitude": [-4.0, 2.0],
+                                                "width": 0.7, "center": [4.0]},
+               "norms": [{"name": "lp", "p": 2.0}, {"name": "kerman_sayer", "alpha": 0.5}]}),
+    ("enclosure", {"lattice": _LAT16, "material": _MAT, "potential": _WELL,
+                   "enclosure": {"theorem": "T1d", "gamma": 0.5, "margin": 0.01}}),
+    ("calibrate", {"lattice": _LAT16, "material": _MAT, "seed": 5,
+                   "calibrate": {"theorem": "T1d", "gamma": 0.5,
+                                 "ensemble": {"family": "well", "size": 2, "real_only": True}}}),
+]
+# wrong types, lists for mappings, NaN, points on the ray, negative sizes
+MUTANTS = ["text", True, None, [1, 2, 3], {"a": 1}, float("nan"), 0.0, [2.0, 0.0], [[1.0, 0.0]],
+           -1, -16, -0.5]
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_exits_with_a_documented_code(data):
+    command, base = data.draw(st.sampled_from(FUZZ_BASES))
+    cfg = copy.deepcopy(base)
+    path = data.draw(st.sampled_from(list(_paths(cfg))[1:]))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    how = data.draw(st.sampled_from(["replace", "wrap", "delete", "extra"]))
+    if how == "replace":
+        parent[path[-1]] = data.draw(st.sampled_from(MUTANTS))
+    elif how == "wrap":  # a list where a mapping or a scalar goes
+        parent[path[-1]] = [parent[path[-1]]]
+    elif how == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent[path[-1]], dict):
+        parent[path[-1]]["extra_key"] = 1
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "run.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "-c", str(cfg_path), "-o", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_missing_config_exit_code(tmp_path):

@@ -1,13 +1,19 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from lamespectra.config import (
+    POTENTIAL_FAMILIES,
+    SCHEMA,
     ConfigError,
     lattice_from_config,
     load_config,
     params_from_config,
     potential_from_config,
 )
+from lamespectra.norms import NORM_PARAMS
 from lamespectra.lattice import Lattice, ScalarField
 from lamespectra.serialize import scalar_to_csv
 
@@ -91,3 +97,22 @@ def test_potential_errors():
         potential_from_config(
             {"potential": {"family": "gaussian", "amplitude": 1.0, "widht": 0.5}}, lat
         )
+
+
+def _section_keys(keys: dict, prefix: str = ""):
+    for name, (kind, _) in keys.items():
+        if isinstance(kind, dict):
+            yield from _section_keys(kind, f"{prefix}{name}.")
+        else:
+            yield prefix + name
+
+
+def test_docs_table_lists_every_config_key():
+    # the schema and docs/file_formats.md "Config keys" name the same keys
+    keys = set(_section_keys({k: v for k, v in SCHEMA.items() if k not in ("potential", "norms")}))
+    keys |= {"potential.csv", "potential.family", "norms[].name"}
+    keys |= {f"potential.{k}" for _, params in POTENTIAL_FAMILIES.values() for k in params}
+    keys |= {f"norms[].{k}" for params in NORM_PARAMS.values() for k in params}
+    docs = (Path(__file__).resolve().parents[1] / "docs" / "file_formats.md").read_text()
+    table = docs.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^\| `([^`]+)` \|", table, re.M)) == keys

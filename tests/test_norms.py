@@ -561,6 +561,12 @@ def test_norm_result_dispatch():
 
     with pytest.raises(ValueError, match="unknown norm"):
         norm_result("sobolev", V, s=1.0)
+    with pytest.raises(ValueError, match="needs the parameter 'p'"):
+        norm_result("lp", V)
+    with pytest.raises(ValueError, match="takes no parameter 'q'"):
+        norm_result("lp", V, p=2.0, q=3.0)
+    with pytest.raises(ValueError, match="needs the parameter 'alpha'"):
+        norm_result("kerman_sayer", V, eps_mass=0.0)
 
 
 # -- scaling properties ------------------------------------------------------

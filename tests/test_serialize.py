@@ -84,6 +84,9 @@ def test_csv_header_rejected(tmp_path):
     path.write_text("idx,re,im\n0,1.0,0.0\n")
     with pytest.raises(ValueError, match="unexpected CSV header"):
         scalar_from_csv(Lattice(1, 4), path)
+    path.write_text("")  # an empty file has no header either
+    with pytest.raises(ValueError, match="unexpected CSV header None"):
+        scalar_from_csv(Lattice(1, 4), path)
 
 
 def test_csv_count_rejected(tmp_path):

@@ -250,6 +250,17 @@ def test_package_rejects_nan_residual():
     assert res.solver_info["rejected_by_distance"] == 0
 
 
+@pytest.mark.parametrize("tau_filter, tau_res", [
+    (np.nan, None), (-0.5, None), (0.5, 0.0), (0.5, np.nan), (0.5, -1e-9),
+])
+def test_discrete_eigenvalues_rejects_bad_filters(tau_filter, tau_res):
+    # a NaN tau_filter fails every comparison, so it would pass eigenvalues to
+    # the residual filter without vectors; bad filters are refused up front
+    V, _ = _well_fixture(32)
+    with pytest.raises(ValueError, match="tau_filter >= 0 and tau_res > 0"):
+        discrete_eigenvalues(WELL_PARAMS, V, tau_filter=tau_filter, tau_res=tau_res)
+
+
 def test_shift_invert_matches_dense():
     V, oracle = _well_fixture(128)
     dense = discrete_eigenvalues(WELL_PARAMS, V, tau_filter=0.5)
