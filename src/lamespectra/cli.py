@@ -125,7 +125,8 @@ def cmd_bs_check(run, out: Path) -> int:
 
 
 def cmd_norms(run, out: Path) -> int:
-    entries, seconds, products = [], [], []
+    entries, seconds = [], []
+    scans = {"morrey_campanato": [], "kerman_sayer": []}
     for i, (name, params) in enumerate(run.norms):
         start = time.perf_counter()
         try:
@@ -135,10 +136,11 @@ def cmd_norms(run, out: Path) -> int:
             raise ConfigError(f"norms[{i}]: {exc}") from exc
         seconds.append(time.perf_counter() - start)
         entries.append(res.to_dict())
-        if res.scan:
-            products.append({"entry": i, **res.scan})
+        if name in scans:
+            scans[name].append({"entry": i, **res.scan})
     return _report(out, "norms.json", {"norms": entries}, f"norms: {len(entries)} computed",
-                   norm_seconds=seconds, kerman_sayer_products=products)
+                   norm_seconds=seconds, morrey_campanato_screen=scans["morrey_campanato"],
+                   kerman_sayer_products=scans["kerman_sayer"])
 
 
 def cmd_enclosure(run, out: Path) -> int:

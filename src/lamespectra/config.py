@@ -19,7 +19,7 @@ from . import potentials
 from .enclosure import BoundSpec
 from .lame import LameParams, Potential, _check_admissible
 from .lattice import DEFAULT_BUDGET_BYTES, Lattice
-from .norms import NORM_PARAMS
+from .norms import NORM_PARAMS, check_norm
 from .potentials import ENSEMBLE_FAMILIES
 from .serialize import scalar_from_csv
 
@@ -33,10 +33,14 @@ class ConfigError(ValueError):
     """The configuration file is missing keys or holds bad values."""
 
 
+# libyaml's parser under the same SafeConstructor and resolver as yaml.SafeLoader
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:
@@ -150,9 +154,10 @@ def _potential(sec, where, lattice) -> Potential:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _norm_list(value, where, lattice=None) -> list:
+def _norm_list(value, where, lattice) -> list:
     """(name, parameters) pairs; each norm takes the parameters of
-    :data:`lamespectra.norms.NORM_PARAMS`, where a None default marks a required one."""
+    :data:`lamespectra.norms.NORM_PARAMS`, where a None default marks a required one,
+    inside the windows :func:`lamespectra.norms.check_norm` checks on ``lattice``."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
     out = []
@@ -163,7 +168,12 @@ def _norm_list(value, where, lattice=None) -> list:
         name = _one_of(*NORM_PARAMS)(entry.get("name"), f"{at}.name")
         keys = {k: (_real, REQUIRED if d is None else None) for k, d in NORM_PARAMS[name].items()}
         params = _keys(entry, {"name": (_text, REQUIRED), **keys}, at, lattice, f"{name} norm")
-        out.append((name, {k: params[k] for k in keys if params[k] is not None}))
+        params = {k: params[k] for k in keys if params[k] is not None}
+        try:
+            check_norm(name, lattice.dim, params)
+        except ValueError as exc:
+            raise ConfigError(f"{at}: {exc}") from None
+        out.append((name, params))
     return out
 
 

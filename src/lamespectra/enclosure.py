@@ -217,7 +217,8 @@ def bound_rhs(spec: BoundSpec, params: LameParams, V: Potential,
     """Right-hand side of |z|^gamma <= C * rhs for the requested bound.
 
     T1d includes its explicit constant (so C = 1 there); the others return
-    the bare norm power.  ``budget_bytes`` bounds the Kerman-Sayer scan.
+    the bare norm power.  ``budget_bytes`` bounds the Morrey-Campanato and
+    Kerman-Sayer scans.
     """
     dim = V.lattice.dim
     spec.validate(dim, V)
@@ -227,7 +228,8 @@ def bound_rhs(spec: BoundSpec, params: LameParams, V: Potential,
     if spec.theorem == "T_Lp":
         return lp_norm(V, q) ** q
     if spec.theorem == "T_MC":
-        return morrey_campanato_norm(V, spec.mc_alpha(dim), spec.p) ** q
+        return morrey_campanato_norm(V, spec.mc_alpha(dim), spec.p,
+                                     budget_bytes=budget_bytes) ** q
     if spec.theorem == "T_KS":
         beta = spec.ks_beta(dim)
         Vb = Potential.from_array(V.lattice, np.abs(V.values) ** beta)

@@ -42,6 +42,7 @@ __all__ = [
     "ks_cube_value",
     "ap_cube_value",
     "norm_result",
+    "check_norm",
     "NORM_PARAMS",
 ]
 
@@ -72,8 +73,8 @@ class NormResult:
     params: dict
     value: float
     witness: dict | None = field(default=None)
-    # what the scan computed (the KS product counts); run metadata, kept out
-    # of to_dict so the report stays byte-stable
+    # what the scan computed (the MC screen's adds, the KS product counts);
+    # run metadata, kept out of to_dict so the report stays byte-stable
     scan: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -120,22 +121,51 @@ def polynomial_weight(lattice: Lattice, alpha: float) -> np.ndarray:
     return (1.0 + np.sum(x**2, axis=0)) ** alpha
 
 
+# -- parameter windows: one check per norm, callable without a scan ------------
+
+
+def _check_lp(dim: int, p: float) -> None:
+    if not p >= 1.0:
+        raise ValueError(f"p must be >= 1, got {p}")
+
+
+def _check_weighted_lq(dim: int, q: float, alpha: float) -> None:
+    if not q >= 1.0:
+        raise ValueError(f"q must be >= 1, got {q}")
+    if not alpha >= 0.0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+
+
+def _check_morrey_campanato(dim: int, alpha: float, p: float) -> None:
+    _check_lp(dim, p)
+    if not 0.0 < alpha <= dim / p:
+        raise ValueError(f"alpha must lie in (0, dim/p] = (0, {dim / p}], got {alpha}")
+
+
+def _check_kerman_sayer(dim: int, alpha: float, eps_mass: float = EPS_MASS) -> None:
+    if not 0.0 < alpha < dim:
+        raise ValueError(f"alpha must lie in (0, dim) = (0, {dim}), got {alpha}")
+
+
+def _check_muckenhoupt(dim: int, p: float, eps_w: float = EPS_WEIGHT) -> None:
+    if not p > 1.0:
+        raise ValueError(f"p must be > 1, got {p}")
+    if not eps_w > 0.0:  # a floor at 0 leaves the dual weight w^(-1/(p-1)) infinite
+        raise ValueError(f"eps_w must be > 0, got {eps_w}")
+
+
 # -- plain and weighted Lebesgue norms ---------------------------------------
 
 
 def lp_norm(V: Potential, p: float) -> float:
     """Quadrature L^p norm of the potential, p >= 1."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_lp(V.lattice.dim, p)
     return scalar_lp_norm(V.field, p)
 
 
 def weighted_lq_norm(V: Potential, q: float, alpha: float) -> float:
     """Norm of V in L^q with weight <x>^(2 alpha), cell-centered."""
-    if q < 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    _check_weighted_lq(V.lattice.dim, q, alpha)
     lat = V.lattice
     w = polynomial_weight(lat, alpha)
     total = np.sum(np.abs(V.values) ** q * w) * lat.cell_volume
@@ -174,58 +204,129 @@ def _mc_ball(lat: Lattice, W: np.ndarray, m: np.ndarray, alpha: float, p: float,
     return r**alpha * (integral / r**lat.dim) ** (1.0 / p)
 
 
-# A screened ball sum and mc_ball_value's np.sum each add at most N
-# nonnegative terms, so each lies within (N-1)u of the exact ball sum
-# (u = 2^-53); the candidate formula adds a few ulps.  The true maximum's
+def _mc_rows(r: int, dim: int) -> tuple:
+    """The rows along the last axis that make up a ball of radius r.
+
+    Returns (o, w): o, of shape (rows, dim-1), holds the offsets in the first
+    dim-1 axes with |o|^2 <= r^2, and w = isqrt(r^2 - |o|^2), so the ball is
+    the union of the rows o x [-w, w].  In 1d that is one row, () x [-r, r].
+    """
+    side = 2 * r + 1
+    o = np.indices((side,) * (dim - 1)).reshape(dim - 1, side ** (dim - 1)).T - r
+    k = r * r - np.sum(o * o, axis=1)
+    o = o[k >= 0]
+    return o, np.array([math.isqrt(x) for x in k[k >= 0].tolist()], dtype=int)
+
+
+# A screened ball sum is a tree of adds over the ball's terms and padded
+# zeros (each row window, then the rows), and mc_ball_value's np.sum adds
+# the same terms in another order; adding +0.0 is exact, so each adds at most
+# N nonnegative terms and lies within (N-1)u of the exact ball sum (u =
+# 2^-53).  The candidate formula adds a few ulps.  The true maximum's
 # screened candidate is thus at least (1 - 4(N+8)u) times the screened top,
 # and this slack keeps it (and every exact tie) while N < 2e6.
 _MC_SLACK = 1e-9
 
+# Centers whose screened candidates are compared at once; bounds the index
+# arrays of the re-evaluation whatever the number of ties.
+_MC_CHUNK = 256
+
+
+def _mc_bytes(lattice: Lattice) -> int:
+    """Modelled peak of the Morrey-Campanato scan, in bytes.
+
+    Held throughout: |V|^p and one ball sum per center and radius, turned
+    into the candidates in place ((1 + radii) N floats).  The screen adds
+    the copy of |V|^p zero-padded by R = 2^jmax on every side ((n + 2R)^dim),
+    the row-window sums S_w ((n + 2R)^(dim-1) n) and the rows of every
+    radius (dim integers each, at most (2r + 1)^(dim-1) of radius r).  The
+    re-evaluation adds the squared offset norms ((2R + 1)^dim), one chunk's
+    mask and indices (17 bytes per candidate) and the box, mask and picked
+    terms of one ball (at most N each).  Plus the buffers numpy's ufunc
+    loops may take for strided operands, and 16 kB for index arrays and
+    scalars.
+    """
+    npts = lattice.npoints
+    n, d = lattice.n, lattice.dim
+    radii = len(dyadic_radius_exponents(lattice))
+    R = 2 ** (radii - 1)
+    rows = d * sum((2 * 2**j + 1) ** (d - 1) for j in range(radii))
+    screen = (n + 2 * R) ** d + (n + 2 * R) ** (d - 1) * n + rows
+    chunk = _MC_CHUNK * radii * 17 // 8
+    reevaluate = (2 * R + 1) ** d + chunk + 2 * npts + npts // 8
+    return 8 * ((1 + radii) * npts + max(screen, reevaluate) + 2 * np.getbufsize() + 2048)
+
 
 def morrey_campanato_norm(V: Potential, alpha: float, p: float,
-                          return_witness: bool = False):
+                          return_witness: bool = False,
+                          budget_bytes: int = DEFAULT_BUDGET_BYTES,
+                          counts: dict | None = None):
     """Discrete Morrey-Campanato norm over grid centers and dyadic radii.
 
     sup over centers x and radii r in {h, 2h, ..., L/2} of
     r^alpha (r^-dim sum_{|y-x| <= r} |V(y)|^p h^dim)^(1/p).
 
-    All ball sums are screened at once by shifted adds of the zero-padded
-    |V|^p; every candidate within ``_MC_SLACK`` of the screened top is then
-    re-evaluated as :func:`mc_ball_value` does, center-major then radius order,
-    so value and witness are those of the exhaustive scan.
+    All ball sums are screened at once from window sums along the last axis:
+    S_w, the sum of the zero-padded |V|^p over x_last - w .. x_last + w,
+    grows by two shifted adds per w, and a ball of radius r is the sum of
+    S_w shifted by o over its rows (o, w) (:func:`_mc_rows`).  Every
+    candidate within ``_MC_SLACK`` of the screened top is then re-evaluated
+    as :func:`mc_ball_value` does, center-major then radius order, so value
+    and witness are those of the exhaustive scan.  Raises
+    :class:`BudgetExceeded`, before any work, when the modelled peak
+    (:func:`_mc_bytes`) would not fit ``budget_bytes``.  A ``counts`` dict,
+    if given, receives ``slab_adds`` (whole-grid adds of the screen) and
+    ``candidates_reevaluated``.
     """
     lat = V.lattice
     d = lat.dim
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if not 0.0 < alpha <= d / p:
-        raise ValueError(f"alpha must lie in (0, dim/p] = (0, {d / p}], got {alpha}")
+    _check_morrey_campanato(d, alpha, p)
+    need = _mc_bytes(lat)
+    if need > budget_bytes:
+        raise BudgetExceeded(
+            f"Morrey-Campanato scan over N = {lat.npoints} cells needs {_format_bytes(need)}, "
+            f"budget is {_format_bytes(budget_bytes)}"
+        )
+    if counts is None:
+        counts = {}
     h = lat.spacing
     n = lat.n
     exponents = dyadic_radius_exponents(lat)
     R = 2 ** exponents[-1]
     W = np.abs(V.values) ** p
-    padded = np.pad(W, R)
-    offsets = np.indices((2 * R + 1,) * d).reshape(d, -1).T - R
-    m = _offset_norms(d, R)
-    sums = np.zeros(lat.shape)
-    cands = np.empty(lat.shape + (len(exponents),))
-    inner = -1
+    padded = np.zeros((n + 2 * R,) * d)
+    padded[(slice(R, R + n),) * d] = W
+    rows = [_mc_rows(2**j, d) for j in exponents]
+    cands = np.zeros((len(exponents),) + lat.shape)
+    S = padded[..., R:R + n].copy()
+    for w in range(R + 1):
+        if w:
+            S += padded[..., R - w:R - w + n]
+            S += padded[..., R + w:R + w + n]
+        for j, (o, half) in zip(exponents, rows):
+            for a in o[half == w].tolist():
+                cands[j] += S[tuple(slice(R + x, R + x + n) for x in a)]
+    counts["slab_adds"] = 2 * R + sum(len(half) for _, half in rows)
+    del padded, S, rows
     for j in exponents:
-        for off in offsets[((m > inner) & (m <= 4**j)).reshape(-1)]:
-            sums += padded[tuple(slice(R + o, R + o + n) for o in off)]
-        inner = 4**j
         r = h * float(2**j)
-        cands[..., j] = r**alpha * (sums * h**d / r**d) ** (1.0 / p)
+        cands[j] = r**alpha * (cands[j] * h**d / r**d) ** (1.0 / p)
     top = cands.max()
     best = 0.0
     best_witness = None
+    counts["candidates_reevaluated"] = 0
     if top > 0.0:
-        for *center, j in np.argwhere(cands >= top * (1.0 - _MC_SLACK)).tolist():
-            cand = _mc_ball(lat, W, m, alpha, p, center, j)
-            if cand > best:
-                best = cand
-                best_witness = {"center": center, "radius_exponent": j}
+        m = _offset_norms(d, R)
+        flat = cands.reshape(len(exponents), -1)
+        for lo in range(0, lat.npoints, _MC_CHUNK):
+            at, radius = np.nonzero(flat[:, lo:lo + _MC_CHUNK].T >= top * (1.0 - _MC_SLACK))
+            centers = np.unravel_index(lo + at, lat.shape)
+            for *center, j in zip(*(c.tolist() for c in centers), radius.tolist()):
+                cand = _mc_ball(lat, W, m, alpha, p, center, j)
+                if cand > best:
+                    best = cand
+                    best_witness = {"center": center, "radius_exponent": j}
+            counts["candidates_reevaluated"] += len(at)
     if return_witness:
         return best, best_witness
     return best
@@ -469,8 +570,7 @@ def kerman_sayer_norm(V: Potential, alpha: float, eps_mass: float = EPS_MASS,
     """
     lat = V.lattice
     d = lat.dim
-    if not 0.0 < alpha < d:
-        raise ValueError(f"alpha must lie in (0, dim) = (0, {d}), got {alpha}")
+    _check_kerman_sayer(d, alpha)
     need = _ks_bytes(lat)
     if need > budget_bytes:
         raise BudgetExceeded(
@@ -534,11 +634,10 @@ def muckenhoupt_constant(w: ScalarField, p: float, eps_w: float = EPS_WEIGHT,
                          return_witness: bool = False):
     """A_p characteristic over the dyadic cube family.
 
-    Zero cells are floored at eps_w (reported through a warning); p <= 1 is
-    rejected.  Constant weights give 1 up to rounding of the reciprocal.
+    Zero cells are floored at eps_w > 0 (reported through a warning); p <= 1
+    is rejected.  Constant weights give 1 up to rounding of the reciprocal.
     """
-    if p <= 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
+    _check_muckenhoupt(w.lattice.dim, p, eps_w)
     values = np.ascontiguousarray(_checked_weight(w, eps_w))
     dual = values ** (-1.0 / (p - 1.0))
     n = w.lattice.n
@@ -571,17 +670,26 @@ NORM_PARAMS = {
     "muckenhoupt": {"p": None, "eps_w": EPS_WEIGHT},
 }
 
+# the window check of each named norm: check(dim, **params) raises ValueError
+_NORM_CHECKS = {
+    "lp": _check_lp,
+    "weighted_lq": _check_weighted_lq,
+    "morrey_campanato": _check_morrey_campanato,
+    "kerman_sayer": _check_kerman_sayer,
+    "muckenhoupt": _check_muckenhoupt,
+}
 
-def norm_result(name: str, V: Potential, budget_bytes: int = DEFAULT_BUDGET_BYTES,
-                **params) -> NormResult:
-    """Compute a named norm with its witness, packaged for serialization.
 
-    ``params`` are the norm's parameters from :data:`NORM_PARAMS`; a missing
-    or unexpected one raises ValueError.  ``budget_bytes`` bounds the memory
-    of the Kerman-Sayer scan.
+def check_norm(name: str, dim: int, params: dict) -> dict:
+    """The parameters of the norm ``name`` with defaults filled in.
+
+    Raises ValueError for an unknown norm, a missing or unexpected parameter
+    (see :data:`NORM_PARAMS`), or a value outside the norm's window on a
+    ``dim``-dimensional lattice, the check each scan makes before its work.
     """
     if name not in NORM_PARAMS:
         raise ValueError(f"unknown norm {name!r}")
+    params = dict(params)
     for key, default in NORM_PARAMS[name].items():
         if key not in params and default is None:
             raise ValueError(f"norm {name!r} needs the parameter {key!r}")
@@ -589,6 +697,19 @@ def norm_result(name: str, V: Potential, budget_bytes: int = DEFAULT_BUDGET_BYTE
     unexpected = sorted(set(params) - set(NORM_PARAMS[name]))
     if unexpected:
         raise ValueError(f"norm {name!r} takes no parameter {unexpected[0]!r}")
+    _NORM_CHECKS[name](dim, **params)
+    return params
+
+
+def norm_result(name: str, V: Potential, budget_bytes: int = DEFAULT_BUDGET_BYTES,
+                **params) -> NormResult:
+    """Compute a named norm with its witness, packaged for serialization.
+
+    ``params`` are checked by :func:`check_norm`.  ``budget_bytes`` bounds
+    the memory of the Morrey-Campanato and Kerman-Sayer scans, whose counts
+    go to ``NormResult.scan``.
+    """
+    params = check_norm(name, V.lattice.dim, params)
     counts = {}
     if name == "lp":
         value = lp_norm(V, params["p"])
@@ -602,7 +723,8 @@ def norm_result(name: str, V: Potential, budget_bytes: int = DEFAULT_BUDGET_BYTE
         witness = {"argmax_index": [int(i) for i in np.unravel_index(flat, V.lattice.shape)]}
     elif name == "morrey_campanato":
         value, witness = morrey_campanato_norm(V, params["alpha"], params["p"],
-                                               return_witness=True)
+                                               return_witness=True, budget_bytes=budget_bytes,
+                                               counts=counts)
     elif name == "kerman_sayer":
         value, witness = kerman_sayer_norm(V, params["alpha"], eps_mass=params["eps_mass"],
                                            return_witness=True, budget_bytes=budget_bytes,

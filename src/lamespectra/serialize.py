@@ -63,38 +63,48 @@ def vector_to_csv(field: VectorField, path) -> None:
                 [np.repeat(np.arange(d), n), np.tile(np.arange(n), d), flat.real, flat.imag])
 
 
-def _read_rows(path, header):
+def _read_samples(path, header, shape) -> np.ndarray:
+    """Complex samples of ``shape`` from CSV rows under ``header``.
+
+    The leading ``len(shape)`` columns of a row index the sample, the last
+    two hold its real and imaginary parts.  Every sample must appear exactly
+    once: an index outside ``shape``, a repeated one or a missing one raises
+    ValueError naming the line.
+    """
+    k = len(shape)
+    values = np.zeros(shape, dtype=np.complex128)
+    seen = np.zeros(shape, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         got = next(reader, None)  # an empty file fails the header check
         if got != header:
             raise ValueError(f"unexpected CSV header {got!r}; want {header!r}")
-        yield from reader
+        for row in reader:
+            at = tuple(map(int, row[:k]))
+            if not all(0 <= i < size for i, size in zip(at, shape)) or seen[at]:
+                raise ValueError(f"CSV line {reader.line_num}: {_bad_index(header, at, shape)}")
+            seen[at] = True
+            values[at] = float(row[-2]) + 1j * float(row[-1])
+    if not seen.all():
+        raise ValueError(f"expected {seen.size} samples, file holds {int(seen.sum())}")
+    return values
+
+
+def _bad_index(header, at, shape) -> str:
+    for name, i, size in zip(header, at, shape):
+        if not 0 <= i < size:
+            return f"{name} {i} outside 0..{size - 1}"
+    return "repeats the sample at " + ", ".join(f"{name} {i}" for name, i in zip(header, at))
 
 
 def scalar_from_csv(lattice: Lattice, path) -> ScalarField:
-    flat = np.zeros(lattice.npoints, dtype=np.complex128)
-    seen = 0
-    for row in _read_rows(path, ["index", "re", "im"]):
-        i = int(row[0])
-        flat[i] = float(row[1]) + 1j * float(row[2])
-        seen += 1
-    if seen != lattice.npoints:
-        raise ValueError(f"expected {lattice.npoints} samples, file holds {seen}")
+    flat = _read_samples(path, ["index", "re", "im"], (lattice.npoints,))
     return ScalarField(lattice, flat.reshape(lattice.shape))
 
 
 def vector_from_csv(lattice: Lattice, path) -> VectorField:
-    flat = np.zeros((lattice.dim, lattice.npoints), dtype=np.complex128)
-    seen = 0
-    for row in _read_rows(path, ["component", "index", "re", "im"]):
-        j, i = int(row[0]), int(row[1])
-        flat[j, i] = float(row[2]) + 1j * float(row[3])
-        seen += 1
-    if seen != lattice.dim * lattice.npoints:
-        raise ValueError(
-            f"expected {lattice.dim * lattice.npoints} samples, file holds {seen}"
-        )
+    flat = _read_samples(path, ["component", "index", "re", "im"],
+                         (lattice.dim, lattice.npoints))
     return VectorField(lattice, flat.reshape((lattice.dim,) + lattice.shape))
 
 

@@ -219,6 +219,14 @@ def test_norms_sidecar_times_each_entry(tmp_path):
     meta = _json(out1, "norms.json.meta.json")
     assert len(meta["norm_seconds"]) == len(_json(out1, "norms.json")["norms"]) == 3
     assert all(isinstance(t, float) and t >= 0.0 for t in meta["norm_seconds"])
+    # each scan's counts under its own key, tagged with the entry's index
+    (screen,) = meta["morrey_campanato_screen"]
+    assert screen["entry"] == 1
+    assert screen["slab_adds"] == 2 * 8 + (3 + 5 + 9 + 17)  # R = 8, radii 1, 2, 4, 8
+    assert screen["candidates_reevaluated"] >= 1
+    (products,) = meta["kerman_sayer_products"]
+    assert products["entry"] == 2 and set(products) == {"entry", "products_formed",
+                                                        "products_skipped_zero"}
 
 
 @pytest.mark.parametrize("command, extra, report", [
@@ -466,6 +474,35 @@ def test_config_is_checked_before_any_compute(tmp_path, monkeypatch, command, te
     cfg = _write(tmp_path, text)
     assert main([command, "-c", cfg, "-o", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_norm_windows_are_checked_before_any_scan(tmp_path, monkeypatch, capsys):
+    # the Kerman-Sayer entry is valid and would scan 3d n=32 first; the bad
+    # p of the next entry is refused before it
+    def scan(*args, **kwargs):
+        raise AssertionError("a norm scan ran before the config check")
+
+    for name in ("lp_norm", "morrey_campanato_norm", "kerman_sayer_norm"):
+        monkeypatch.setattr(f"lamespectra.norms.{name}", scan)
+    cfg = _write(tmp_path, KS_3D_CONFIG + "  - {name: lp, p: 0.5}\n")
+    assert main(["norms", "-c", cfg, "-o", str(tmp_path / "o")]) == 2
+    assert "norms[1]: p must be >= 1, got 0.5" in capsys.readouterr().err
+    cfg = _write(tmp_path, _NORMS + "[{name: morrey_campanato, alpha: 1.5, p: 1.0}]\n")
+    assert main(["norms", "-c", cfg, "-o", str(tmp_path / "o")]) == 2
+    assert "norms[0]: alpha must lie in (0, dim/p] = (0, 1.0]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("row", ["0,-1.0,0.0", "-1,-1.0,0.0", "8,-1.0,0.0"],
+                         ids=["repeated", "negative", "out-of-range"])
+def test_csv_potential_bad_index_exit_code(tmp_path, capsys, row):
+    lines = EIGHT_SAMPLES.read_text().splitlines()
+    path = tmp_path / "V.csv"
+    path.write_text("\n".join(lines[:7] + [row] + lines[8:]) + "\n")
+    lat = "lattice: {dim: 1, points: 8}\n"
+    cfg = _write(tmp_path, lat + f"potential: {{csv: '{path}'}}\nnorms: [{{name: lp, p: 1.0}}]\n")
+    assert main(["norms", "-c", cfg, "-o", str(tmp_path / "o")]) == 2
+    assert "error: potential.csv: CSV line 8:" in capsys.readouterr().err
 
 
 def test_output_under_a_file_exit_code(tmp_path, capsys):

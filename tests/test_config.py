@@ -1,13 +1,19 @@
+import ast
+import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from lamespectra import config
 from lamespectra.config import (
     POTENTIAL_FAMILIES,
     SCHEMA,
     ConfigError,
+    check_config,
     lattice_from_config,
     load_config,
     params_from_config,
@@ -29,6 +35,75 @@ def test_load_config_errors(tmp_path):
     scalar.write_text("- just\n- a list\n")
     with pytest.raises(ConfigError, match="root must be a mapping"):
         load_config(scalar)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _config_texts():
+    """Every YAML mapping the tests, demos and benchmark pools feed the loader.
+
+    String literals of tests/*.py and demos/*.py that parse as a mapping (the
+    configs and the pieces the tests splice into them), each benchmark pool
+    config as the benchmark writes it, and YAML 1.1 corner cases.
+    """
+    texts = []
+    for path in sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    doc = yaml.load(node.value, Loader=yaml.SafeLoader)
+                except yaml.YAMLError:
+                    continue
+                if isinstance(doc, dict):
+                    texts.append(node.value)
+    for pool in sorted(ROOT.glob("perfbench/reference/*.json")):
+        sizes = json.loads(pool.read_text())["sizes"].values()
+        texts += [yaml.safe_dump(e["config"], sort_keys=True)
+                  for size in sizes for e in size["entries"].values() if "config" in e]
+    texts.append("a: 1e-3\nb: 1.0e-3\nc: .inf\nd: -.Inf\ne: .nan\nf: 0x1F\ng: 0o17\n"
+                 "h: 017\ni: 1_000\nj: 1:30\nk: no\nl: 'no'\nm: ~\nn: 2001-12-14\n"
+                 "o: !!float 1\np: [1, -2.5, +3]\nq: {r: [re, 0.5]}\ns: Yes\n")
+    return texts
+
+
+def _same(a, b) -> bool:
+    """==, but also for NaN, and with types and key order equal."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_libyaml_loader_reads_every_config_alike(tmp_path):
+    assert config._LOADER is yaml.CSafeLoader
+    texts = _config_texts()
+    assert len(texts) > 100
+    for text in texts:
+        want = yaml.load(text, Loader=yaml.SafeLoader)
+        assert _same(yaml.load(text, Loader=yaml.CSafeLoader), want), text
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        assert _same(load_config(path), want), text
+
+
+@pytest.mark.parametrize("norms, named", [
+    ([{"name": "kerman_sayer", "alpha": 2.0}], "norms[0]: alpha must lie in (0, dim) = (0, 2)"),
+    ([{"name": "lp", "p": 2.0}, {"name": "morrey_campanato", "alpha": 1.5, "p": 1.5}],
+     "norms[1]: alpha must lie in (0, dim/p]"),
+    ([{"name": "weighted_lq", "q": 2.0, "alpha": -0.5}], "norms[0]: alpha must be >= 0"),
+    ([{"name": "muckenhoupt", "p": 1.0}], "norms[0]: p must be > 1"),
+])
+def test_check_config_checks_norm_windows(norms, named):
+    cfg = {"lattice": {"dim": 2, "points": 8},
+           "potential": {"family": "gaussian", "amplitude": 1.0, "width": 0.5}, "norms": norms}
+    with pytest.raises(ConfigError) as err:
+        check_config(cfg, "norms")
+    assert str(err.value).startswith(named)
 
 
 def test_lattice_section():

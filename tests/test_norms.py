@@ -27,8 +27,11 @@ from lamespectra.norms import (
     _ks_numerators,
     _ks_windows,
     _level_blocks,
+    _mc_bytes,
+    _mc_rows,
     _pairwise_sum,
     ap_cube_value,
+    check_norm,
     dyadic_cubes,
     dyadic_level_max,
     dyadic_radius_exponents,
@@ -153,6 +156,82 @@ def test_mc_validation():
         morrey_campanato_norm(V, 0.0, 1.0)
     with pytest.raises(ValueError):
         morrey_campanato_norm(V, 1.5, 1.0)  # alpha > dim/p in 1d
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 4, 8])
+def test_mc_rows_tile_the_ball(dim, r):
+    # the rows o x [-w, w] hold every integer point of the ball exactly once
+    o, w = _mc_rows(r, dim)
+    assert o.shape == (len(w), dim - 1)
+    points = [tuple(a) + (b,) for a, half in zip(o.tolist(), w.tolist())
+              for b in range(-half, half + 1)]
+    ball = [q for q in np.ndindex((2 * r + 1,) * dim)
+            if sum((c - r) ** 2 for c in q) <= r * r]
+    assert sorted(points) == sorted(tuple(c - r for c in q) for q in ball)
+
+
+def test_mc_budget_model_bounds_traced_peak():
+    V = _random_potential(2, 64, 24)
+    need = _mc_bytes(V.lattice)
+    tracemalloc.start()
+    try:
+        morrey_campanato_norm(V, 0.5, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the model bounds the real peak and is not loose: it is what the guard checks
+    assert 0.8 * need <= peak <= need
+    with pytest.raises(BudgetExceeded, match=r"Morrey-Campanato scan over N = 4096 cells needs"):
+        morrey_campanato_norm(V, 0.5, 1.5, budget_bytes=need - 1)
+
+
+def test_mc_scan_reports_screen_counts():
+    # 2d n=64: R = 32, so 64 adds grow the row-window sums and the six
+    # radii add 3 + 5 + 9 + 17 + 33 + 65 rows; one shifted add per offset of
+    # the largest ball would take 3209
+    V = gaussian_bump(Lattice(2, 64), -4.0, 0.4)
+    counts = {}
+    value = morrey_campanato_norm(V, 1.0, 1.5, counts=counts)
+    assert value == morrey_campanato_norm(V, 1.0, 1.5)
+    assert counts["slab_adds"] == 64 + 132
+    assert counts["candidates_reevaluated"] >= 1
+    r = norm_result("morrey_campanato", V, alpha=1.0, p=1.5)
+    assert r.scan == counts
+    assert "scan" not in r.to_dict()
+    with pytest.raises(BudgetExceeded):
+        norm_result("morrey_campanato", V, budget_bytes=1000, alpha=1.0, p=1.5)
+
+
+@pytest.mark.parametrize("name, dim, params, match", [
+    ("lp", 2, {"p": 0.5}, "p must be >= 1"),
+    ("weighted_lq", 2, {"q": 0.5, "alpha": 1.0}, "q must be >= 1"),
+    ("weighted_lq", 2, {"q": 2.0, "alpha": -1.0}, "alpha must be >= 0"),
+    ("morrey_campanato", 2, {"alpha": 1.0, "p": 0.9}, "p must be >= 1"),
+    ("morrey_campanato", 2, {"alpha": 1.5, "p": 1.5}, r"alpha must lie in \(0, dim/p\]"),
+    ("morrey_campanato", 1, {"alpha": 0.0, "p": 1.0}, r"alpha must lie in \(0, dim/p\]"),
+    ("kerman_sayer", 3, {"alpha": 3.0}, r"alpha must lie in \(0, dim\) = \(0, 3\)"),
+    ("kerman_sayer", 1, {"alpha": 0.0, "eps_mass": 0.1}, r"alpha must lie in \(0, dim\)"),
+    ("muckenhoupt", 2, {"p": 1.0}, "p must be > 1"),
+    ("muckenhoupt", 2, {"p": 2.0, "eps_w": 0.0}, "eps_w must be > 0"),
+    ("lp", 2, {}, "needs the parameter 'p'"),
+    ("lp", 2, {"p": 2.0, "q": 1.0}, "takes no parameter 'q'"),
+    ("coulomb", 2, {}, "unknown norm"),
+])
+def test_check_norm_rejects_outside_the_window(name, dim, params, match):
+    with pytest.raises(ValueError, match=match):
+        check_norm(name, dim, params)
+
+
+def test_check_norm_fills_defaults_and_matches_the_scans():
+    assert check_norm("kerman_sayer", 3, {"alpha": 2.9}) == {"alpha": 2.9, "eps_mass": 0.0}
+    assert check_norm("morrey_campanato", 2, {"alpha": 2.0, "p": 1.0}) == {"alpha": 2.0, "p": 1.0}
+    # each scan refuses what check_norm refuses, with the same message
+    V = _random_potential(2, 4, 15)
+    with pytest.raises(ValueError, match=r"\(0, 2\), got 2.0"):
+        kerman_sayer_norm(V, 2.0)
+    with pytest.raises(ValueError, match=r"\(0, 2\), got 2.0"):
+        check_norm("kerman_sayer", 2, {"alpha": 2.0})
 
 
 # -- Kerman-Sayer ------------------------------------------------------------
@@ -403,6 +482,37 @@ def test_mc_scan_matches_loop_oracle_on_small_well():
     # about 4000 of the 24576 candidates are re-evaluated from their boxes
     V = _square_well(2, 64, 1, depth=-5.0)
     assert morrey_campanato_norm(V, 1.0, 2.0, return_witness=True) == mc_norm_loop(V, 1.0, 2.0)
+
+
+def _mirror_wells(dim, n):
+    # two wells, mirror images of each other in the cell's centre plane
+    # along the last axis, so ball sums repeat at mirrored centres
+    lat = Lattice(dim, n)
+    vals = np.zeros(lat.shape)
+    lo, hi = n // 4 - 1, n // 4 + 1
+    inner = (slice(n // 2 - 1, n // 2 + 1),) * (dim - 1)
+    vals[inner + (slice(lo, hi),)] = -4.0
+    vals[inner + (slice(n - hi, n - lo),)] = -4.0
+    return Potential.from_array(lat, vals)
+
+
+DEGENERATE = {
+    "constant": lambda dim, n: Potential.from_array(Lattice(dim, n), np.full((n,) * dim, -2.5)),
+    "mirror-wells": _mirror_wells,
+    "centred-gaussian": _centred_gaussian,
+}
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (2, 8), (2, 16), (3, 4), (3, 8)])
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_mc_screen_on_degenerate_potentials(name, dim, n):
+    # symmetric and tied potentials: many balls reach the maximum exactly,
+    # and the witness is the first of them, center-major then radius
+    V = DEGENERATE[name](dim, n)
+    for p in (1.0, 1.5, 2.0):
+        for alpha in (dim / p, dim / (2 * p)):
+            got = morrey_campanato_norm(V, alpha, p, return_witness=True)
+            assert got == mc_norm_loop(V, alpha, p), (p, alpha)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 4)])

@@ -103,6 +103,38 @@ def test_csv_count_rejected(tmp_path):
         vector_from_csv(Lattice(2, 8), vpath)
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["0,1.0,0.0", "1,2.0,0.0", "1,3.0,0.0", "3,4.0,0.0"],
+     "CSV line 4: repeats the sample at index 1"),
+    (["0,1.0,0.0", "1,2.0,0.0", "-1,5.0,0.0", "2,4.0,0.0"], "CSV line 4: index -1 outside 0..3"),
+    (["0,1.0,0.0", "1,2.0,0.0", "2,3.0,0.0", "4,4.0,0.0"], "CSV line 5: index 4 outside 0..3"),
+], ids=["repeated", "negative", "out-of-range"])
+def test_csv_bad_index_rejected(tmp_path, rows, message):
+    # each file has four rows for four samples, so counting rows passes
+    path = tmp_path / "bad.csv"
+    path.write_text("\r\n".join(["index,re,im"] + rows) + "\r\n")
+    with pytest.raises(ValueError, match=message):
+        scalar_from_csv(Lattice(1, 4), path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,1,9.0,0.0", "CSV line 4: repeats the sample at component 0, index 1"),
+    ("-1,2,9.0,0.0", "CSV line 4: component -1 outside 0..1"),
+    ("2,2,9.0,0.0", "CSV line 4: component 2 outside 0..1"),
+    ("0,-4,9.0,0.0", "CSV line 4: index -4 outside 0..15"),
+    ("0,16,9.0,0.0", "CSV line 4: index 16 outside 0..15"),
+], ids=["repeated", "negative-component", "component-out-of-range", "negative-index",
+        "index-out-of-range"])
+def test_vector_csv_bad_index_rejected(tmp_path, row, message):
+    # the row replaces the sample (0, 2) on line 4, so the row count is right
+    path = tmp_path / "v.csv"
+    vector_to_csv(random_vector_field(Lattice(2, 4), np.random.default_rng(4)), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + [row] + lines[4:]) + "\n")
+    with pytest.raises(ValueError, match=message):
+        vector_from_csv(Lattice(2, 4), path)
+
+
 def test_reports_are_byte_stable(tmp_path):
     payload = {"b": [1.0, 2.5], "a": {"z": 0.1, "y": "text"}}
     p1 = tmp_path / "one.json"
