@@ -146,7 +146,8 @@ def cmd_norms(run, out: Path) -> int:
 def cmd_enclosure(run, out: Path) -> int:
     spec, params, V = run.enclosure["spec"], run.material, run.potential
     result = discrete_eigenvalues(params, V, **run.solver)
-    report = enclosure_report(spec, params, V, result, margin=run.enclosure["margin"])
+    report = enclosure_report(spec, params, V, result, margin=run.enclosure["margin"],
+                              budget_bytes=run.solver["budget_bytes"])
     z = report.eigenvalues_tested
     write_table(out / "enclosure.csv", ["re", "im", "abs", "ratio", "verdict"],
                 [[w.real for w in z], [w.imag for w in z], [abs(w) for w in z],

@@ -17,7 +17,7 @@ import yaml
 
 from . import potentials
 from .enclosure import BoundSpec
-from .lame import LameParams, Potential, _check_admissible
+from .lame import DEFAULT_TAU_Z, LameParams, Potential, _check_admissible
 from .lattice import DEFAULT_BUDGET_BYTES, Lattice
 from .norms import NORM_PARAMS, check_norm
 from .potentials import ENSEMBLE_FAMILIES
@@ -271,6 +271,10 @@ def check_config(cfg: dict, command: str, seed: int | None = None) -> SimpleName
     run = {}
     for name in READS[command]:
         run[name] = _value(*SCHEMA[name], cfg.get(name), name, run.get("lattice"))
+    # bs-check evaluates K(z) at the kept eigenvalues, which must stay off the ray
+    tau = run["solver"]["tau_filter"] if command == "bs-check" else None
+    if tau is not None and tau < DEFAULT_TAU_Z:
+        raise ConfigError(f"solver.tau_filter must be >= {DEFAULT_TAU_Z} for bs-check, got {tau!r}")
     return SimpleNamespace(**run)
 
 

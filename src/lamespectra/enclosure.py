@@ -268,15 +268,15 @@ class EnclosureReport:
 
 
 def enclosure_report(spec: BoundSpec, params: LameParams, V: Potential,
-                     result: SpectralResult, margin: float = 1e-2) -> EnclosureReport:
+                     result: SpectralResult, margin: float = 1e-2,
+                     budget_bytes: int = DEFAULT_BUDGET_BYTES) -> EnclosureReport:
     """Test every filtered eigenvalue against the bound.
 
     For T1d (explicit constant) the verdict is inside/outside the disc of
     radius rhs^2 times (1 + margin); otherwise the ratio is recorded and the
-    verdict says so.
+    verdict says so.  ``budget_bytes`` goes to :func:`bound_rhs`.
     """
-    dim = V.lattice.dim
-    rhs = bound_rhs(spec, params, V)
+    rhs = bound_rhs(spec, params, V, budget_bytes=budget_bytes)
     ratios = []
     verdicts = []
     for z in result.eigenvalues:
@@ -350,6 +350,7 @@ def scaling_exponent_test(params: LameParams, V: Potential, spec: BoundSpec,
     The scaled problem keeps the sample array (times a^2) on a lattice of
     period L/a, which realizes V_a exactly on the grid.  ``tau_filter``
     scales along (by a^2) so the same eigenvalues survive the filter.
+    ``budget_bytes`` bounds the dense solves and the bound's norm scans.
     """
     lat = V.lattice
     dim = lat.dim
@@ -359,7 +360,7 @@ def scaling_exponent_test(params: LameParams, V: Potential, spec: BoundSpec,
 
     def rhs_of(pot: Potential) -> float:
         if exponent_override is None:
-            return bound_rhs(spec, params, pot)
+            return bound_rhs(spec, params, pot, budget_bytes=budget_bytes)
         p = exponent_override
         return lp_norm(pot, p) ** p
 

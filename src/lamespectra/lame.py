@@ -108,12 +108,16 @@ class Potential:
         return bool(np.all(self.field.values.imag == 0.0))
 
 
-def distance_to_ray(z: complex) -> float:
-    """Distance from z to the half line [0, infinity)."""
-    z = complex(z)
-    if z.real >= 0.0:
-        return abs(z.imag)
-    return abs(z)
+def distance_to_ray(z):
+    """Distance from z to the half line [0, infinity), elementwise on arrays.
+
+    A scalar gives a float, an array an array of the same shape.  ``hypot``
+    rounds as Python's complex ``abs`` does (numpy's complex ``abs`` does
+    not always), so both forms give the same bits.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.where(z.real >= 0.0, np.abs(z.imag), np.hypot(z.real, z.imag))
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_admissible(z: complex) -> None:

@@ -11,7 +11,8 @@ The dense eigensolve computes eigenvalues first and eigenvectors only for
 the few that pass the distance filter, one LU of ``A - z`` each.  Its memory
 model, :func:`_dense_peak_bytes`, counts what assembly plus solve really
 hold: the operator matrix and one Fortran-ordered work matrix of the same
-size, which LAPACK overwrites.
+size, which LAPACK overwrites.  It is skipped when the numerical range shows
+that no eigenvalue can pass the distance filter (:func:`_ray_reach`).
 """
 
 from __future__ import annotations
@@ -222,14 +223,33 @@ def _operator_residual(params: LameParams, V: Potential, z: complex, u: VectorFi
     return l2_norm(r) / l2_norm(u)
 
 
-def _far_from_ray(z: complex, tau_filter: float) -> bool:
-    """The distance filter, the one test of whether an eigenvalue gets a vector."""
+def _far_from_ray(z, tau_filter: float):
+    """The distance filter, the one test of whether an eigenvalue gets a vector (elementwise)."""
     return distance_to_ray(z) > tau_filter
 
 
-def _package(params, V, lattice, pairs, tau_filter, tau_res, info) -> SpectralResult:
+def _ray_reach(params: LameParams, V: Potential) -> float:
+    """No computed eigenvalue of -Delta* + V lies farther than this from [0, inf).
+
+    -Delta* is Hermitian and >= 0, so the numerical range of A = -Delta* + V,
+    which holds the eigenvalues, lies in [0, inf) + conv{V(x)}: no farther
+    from the convex ray than max_x distance_to_ray(V(x)).  Computed
+    eigenvalues are exact for some A + E, whose numerical range lies within
+    ||E||_2 <~ n eps ||A||_F <= n^1.5 eps ||A||_2 of A's (``zgeev`` is backward
+    stable); n^1.5 eps < 1e-10 up to order 4000, past the default budget.
+    The margin 1e-8 ||A||_2 covers that and the rounding of the assembled
+    -Delta*, with ||-Delta*||_2 = max(mu, lam + 2 mu) max |xi|^2 (the
+    spectral width unless lam < -mu).
+    """
+    h_norm = max(params.mu, params.longitudinal) * float(V.lattice.frequency_norm2.max())
+    margin = 1e-8 * (h_norm + float(np.abs(V.values).max()))
+    return float(distance_to_ray(V.values).max()) + margin
+
+
+def _package(params, V, lattice, pairs, tau_filter, tau_res, info, unsolved=0) -> SpectralResult:
+    """Filter (z, u) pairs; ``unsolved`` uncomputed eigenvalues count as rejected by distance."""
     kept = []
-    by_distance = by_residual = 0
+    by_distance, by_residual = unsolved, 0
     for z, u in pairs:
         if not _far_from_ray(z, tau_filter):
             by_distance += 1
@@ -242,7 +262,7 @@ def _package(params, V, lattice, pairs, tau_filter, tau_res, info) -> SpectralRe
     kept.sort(key=lambda t: (t[0].real, t[0].imag))
     eigenvalues = np.array([z for z, _ in kept], dtype=complex)
     residuals = np.array([r for _, r in kept], dtype=float)
-    distances = np.array([distance_to_ray(z) for z in eigenvalues], dtype=float)
+    distances = distance_to_ray(eigenvalues)
     info = dict(info)
     info.update(
         {
@@ -291,17 +311,19 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
                          budget_bytes: int = DEFAULT_BUDGET_BYTES) -> SpectralResult:
     """All eigenvalues of the assembled operator away from the ray [0, inf).
 
-    Dense assembly, then LAPACK ``zgeev`` for the eigenvalues alone.  Each
-    eigenvalue farther than ``tau_filter`` from the ray gets its vector from
-    one inverse-iteration step through an LU of ``A - z``, started from a
-    fixed-seed random vector (eigenvectors of symmetric potentials can be
-    orthogonal to constants).  When more than 40 survive, one ``eig`` with
-    all eigenvectors replaces the LUs: an LU costs 1/32 to 1/60 of an
-    ``eig`` at orders 192 to 2048 with one BLAS thread.  Raises
-    :class:`BudgetExceeded` when the solve would not fit the budget.  Every
-    reported eigenvalue carries a matrix-free residual below ``tau_res``.
-    A NaN or negative ``tau_filter`` or a ``tau_res`` that is not positive
-    raises ValueError.
+    When ``tau_filter`` is at least :func:`_ray_reach`, the filter must
+    reject every eigenvalue: nothing is assembled or solved (route
+    ``numerical_range``).  Otherwise dense assembly, then LAPACK ``zgeev``
+    for the eigenvalues alone.  Each eigenvalue farther than ``tau_filter``
+    from the ray gets its vector from one inverse-iteration step through an
+    LU of ``A - z``, started from a fixed-seed random vector (eigenvectors
+    of symmetric potentials can be orthogonal to constants).  When more than
+    40 survive, one ``eig`` with all eigenvectors replaces the LUs: an LU
+    costs 1/32 to 1/60 of an ``eig`` at orders 192 to 2048 with one BLAS
+    thread.  Raises :class:`BudgetExceeded` when the solve would not fit the
+    budget, skipped or not.  Every reported eigenvalue carries a matrix-free
+    residual below ``tau_res``.  A NaN or negative ``tau_filter`` or a
+    ``tau_res`` that is not positive raises ValueError.
     """
     lat = V.lattice
     if tau_filter is None:
@@ -310,14 +332,20 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
         tau_res = default_tau_res(params, lat)
     if not (tau_filter >= 0.0 and tau_res > 0.0):
         raise ValueError(f"need tau_filter >= 0 and tau_res > 0, got {tau_filter}, {tau_res}")
+    order = lat.dim * lat.npoints
+    _check_budget(order, budget_bytes, lat.dim)
+    info = {"method": "dense", "matrix_order": order}
+    if tau_filter >= _ray_reach(params, V):
+        result = _package(params, V, lat, (), tau_filter, tau_res, info, unsolved=order)
+        return replace(result, eigensolve={
+            "eigenvector_route": "numerical_range", "lu_solves": 0, "eigensolve_seconds": 0.0})
     A = dense_operator_matrix(params, V, budget_bytes=budget_bytes)
-    order = A.shape[0]
     start_time = time.perf_counter()
     work = np.empty((order, order), dtype=complex, order="F")
     work[...] = A.T
     w = scipy.linalg.eigvals(work, overwrite_a=True, check_finite=False)
-    far = [_far_from_ray(z, tau_filter) for z in w]
-    if sum(far) > _EIG_FALLBACK:
+    far = _far_from_ray(w, tau_filter)
+    if np.count_nonzero(far) > _EIG_FALLBACK:
         work[...] = A.T
         del A  # the eigenvectors take the operator's place in the memory model
         w, vl = scipy.linalg.eig(work, left=True, right=False, overwrite_a=True,
@@ -333,7 +361,6 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
         pairs = ((z, vectors.get(i)) for i, z in enumerate(w))
         route, lu_solves = "inverse_iteration", len(vectors)
     seconds = time.perf_counter() - start_time
-    info = {"method": "dense", "matrix_order": order}
     result = _package(params, V, lat, pairs, tau_filter, tau_res, info)
     return replace(result, eigensolve={
         "eigenvector_route": route, "lu_solves": lu_solves, "eigensolve_seconds": seconds})

@@ -460,12 +460,15 @@ def test_bad_value_exit_code(tmp_path, capsys, command, text, named):
 @pytest.mark.parametrize("command, text", [
     ("spectrum", WELL_CONFIG.replace("tau_filter: 0.5", "tau_res: -1.0")),
     ("bs-check", WELL_CONFIG + "bs: {z_values: [[-1.0, 0.5], 2.0]}\n"),
+    # a filter that could keep a point on the ray, where K(z) does not exist
+    ("bs-check", WELL_CONFIG.replace("tau_filter: 0.5", "tau_filter: 0.0")),
     ("enclosure", WELL_CONFIG + "enclosure: {theorem: T1d, gamma: 0.5, margin: .nan}\n"),
     ("norms", _NORMS + "[{name: lp, p: 2.0}, {name: kerman_sayer}]\n"),
     ("calibrate", CALIBRATE_CONFIG + "solver: {budget_bytes: -1}\n"),
-], ids=["spectrum", "bs-check", "enclosure", "norms", "calibrate"])
+], ids=["spectrum", "bs-check", "bs-check-tau-filter", "enclosure", "norms", "calibrate"])
 def test_config_is_checked_before_any_compute(tmp_path, monkeypatch, command, text):
-    # the bad key sits in the last section each command reads
+    # the bad key sits in the last section each command reads, or breaks the
+    # rule on solver.tau_filter that bs-check adds after all sections
     def compute(*args, **kwargs):
         raise AssertionError("compute ran before the config check")
 

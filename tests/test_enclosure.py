@@ -18,7 +18,7 @@ from lamespectra.lame import LameParams, Potential
 from lamespectra.lattice import Lattice
 from lamespectra.norms import kerman_sayer_norm, lp_norm, weighted_lq_norm
 from lamespectra.potentials import gaussian_bump, square_well
-from lamespectra.spectra import SpectralResult, discrete_eigenvalues
+from lamespectra.spectra import BudgetExceeded, SpectralResult, discrete_eigenvalues
 
 PARAMS = LameParams(0.5, 1.0)
 
@@ -245,6 +245,20 @@ def test_enclosure_report_ks_records_a2():
         report = enclosure_report(BoundSpec("T_KS", 0.4), PARAMS, V, res)
     assert report.extras["a2_constant"] >= 1.0
     assert all(v == "recorded" for v in report.verdicts)
+
+
+@pytest.mark.parametrize("spec", [BoundSpec("T_MC", 0.25, p=1.1), BoundSpec("T_KS", 0.4)],
+                         ids=["T_MC", "T_KS"])
+def test_norm_scans_of_the_bound_keep_the_budget(monkeypatch, spec):
+    # the scan guards refuse a tiny budget in the report and in the scaling
+    # test; the solve is faked, so only the right-hand side sees the budget
+    V = _real_potential_2d()
+    fake = SpectralResult(np.array([-1.0 + 0j]), np.zeros(1), np.ones(1), {})
+    with pytest.raises(BudgetExceeded, match="budget is 1.0 kB"):
+        enclosure_report(spec, PARAMS, V, fake, budget_bytes=1000)
+    monkeypatch.setattr("lamespectra.enclosure.discrete_eigenvalues", lambda *a, **k: fake)
+    with pytest.raises(BudgetExceeded, match="budget is 1.0 kB"):
+        scaling_exponent_test(PARAMS, V, spec, scales=(2.0,), budget_bytes=1000)
 
 
 # -- scaling ------------------------------------------------------------------

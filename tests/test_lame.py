@@ -106,6 +106,28 @@ def test_distance_to_ray_cases():
     assert distance_to_ray(10.0) == 0.0
 
 
+def _distance_to_ray_reference(z: complex) -> float:
+    z = complex(z)
+    return abs(z.imag) if z.real >= 0.0 else abs(z)
+
+
+def test_distance_to_ray_array_equals_scalar():
+    # hypot, not numpy's complex abs, gives Python's bits for every element
+    rng = np.random.default_rng(4)
+    size = 20000
+    z = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** rng.integers(
+        -300, 300, size)
+    z = np.concatenate([z, [0.0, -0.0, complex(-0.0, -2.0), -3.0 - 4.0j, complex(-np.inf, 1.0),
+                            complex(np.nan, 1.0)]])
+    d = distance_to_ray(z.reshape(-1, 2))
+    assert d.shape == (len(z) // 2, 2)
+    scalar = np.array([distance_to_ray(complex(x)) for x in z])
+    reference = np.array([_distance_to_ray_reference(x) for x in z])
+    assert np.array_equal(d.reshape(-1), reference, equal_nan=True)
+    assert np.array_equal(scalar, reference, equal_nan=True)
+    assert isinstance(distance_to_ray(-1.0 + 1.0j), float)
+
+
 @pytest.mark.parametrize("params", PAIRS)
 def test_resolvent_split_equals_direct(params):
     rng = np.random.default_rng(2)

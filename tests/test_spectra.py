@@ -16,6 +16,7 @@ from lamespectra.spectra import (
     _dense_peak_bytes,
     _inverse_iteration,
     _package,
+    _ray_reach,
     BSOperator,
     BudgetExceeded,
     bs_check,
@@ -203,7 +204,8 @@ def _fast_route_cases():
     V, _ = _well_fixture(128)
     cases.append(pytest.param(WELL_PARAMS, V, 0.5, lu, id="well-128"))
     zero = Potential.from_array(Lattice(1, 32, 5.0), np.zeros(32))
-    cases.append(pytest.param(LameParams(1.0, 1.0), zero, None, lu, id="zero"))
+    # every eigenvalue of -Delta* lies on the ray: the numerical range skips the solve
+    cases.append(pytest.param(LameParams(1.0, 1.0), zero, None, "numerical_range", id="zero"))
     cases.append(pytest.param(LameParams(0.0, 0.5), gaussian_bump(Lattice(1, 128, 20.0), -12.0, 1.5),
                               0.1, lu, id="real-gaussian"))
     # a calibrate member at order 512 with 22 eigenvalues past the filter
@@ -228,6 +230,49 @@ def test_fast_route_matches_full_eig(params, V, tau_filter, route):
     assert (survivors > _EIG_FALLBACK) == (route == "eig")
     assert fast.eigensolve["eigenvector_route"] == route
     assert fast.eigensolve["lu_solves"] == (survivors if route == "inverse_iteration" else 0)
+
+
+def _range_cases():
+    """Random complex potentials in 1d, 2d and 3d, and the criterion-04 fixtures."""
+    rng = np.random.default_rng(11)
+    cases = []
+    # lam < -mu makes mu, not lam + 2 mu, the larger modulus
+    for lat, params in ((Lattice(1, 48, 9.0), LameParams(0.5, 1.0)),
+                        (Lattice(2, 6, 3.0), LameParams(-1.5, 1.0)),
+                        (Lattice(3, 4), LameParams(1.0, 0.5))):
+        values = 20.0 * (rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape))
+        cases.append(pytest.param(params, Potential.from_array(lat, values),
+                                  id=f"random-{lat.dim}d"))
+    cases += [pytest.param(params, V, id=f"bs-fixture-{i}")
+              for i, (params, V, _) in enumerate(_bs_fixtures())]
+    return cases
+
+
+@pytest.mark.parametrize("params, V", _range_cases())
+def test_numerical_range_bounds_every_eigenvalue(params, V):
+    reach = _ray_reach(params, V)
+    full = eigenvalues_by_full_eig(params, V, tau_filter=0.0, tau_res=np.inf)
+    assert len(full) > 0
+    assert np.all(full.distances <= reach)
+    # at the reach the solve is skipped, and the report is the full path's
+    skipped = discrete_eigenvalues(params, V, tau_filter=reach)
+    assert skipped.eigensolve == {"eigenvector_route": "numerical_range", "lu_solves": 0,
+                                  "eigensolve_seconds": 0.0}
+    assert skipped.to_dict() == eigenvalues_by_full_eig(params, V, tau_filter=reach).to_dict()
+    assert skipped.solver_info["rejected_by_distance"] == skipped.solver_info["matrix_order"]
+    # just below it the solve runs
+    below = np.nextafter(reach, 0.0)
+    solved = discrete_eigenvalues(params, V, tau_filter=below)
+    assert solved.eigensolve["eigenvector_route"] == "inverse_iteration"
+    assert solved.to_dict() == eigenvalues_by_full_eig(params, V, tau_filter=below).to_dict()
+
+
+def test_skipped_solve_still_checks_the_budget():
+    V = Potential.from_array(Lattice(2, 16), np.zeros((16, 16)))
+    with pytest.raises(BudgetExceeded):
+        discrete_eigenvalues(LameParams(1.0, 1.0), V, tau_filter=1.0, budget_bytes=1_000_000)
+    assert discrete_eigenvalues(LameParams(1.0, 1.0), V, tau_filter=1.0).eigensolve[
+        "eigenvector_route"] == "numerical_range"
 
 
 def test_inverse_iteration_at_an_exact_eigenvalue():
