@@ -9,7 +9,7 @@ import numpy as np
 from lamespectra.lame import LameParams
 from lamespectra.lattice import Lattice
 from lamespectra.potentials import gaussian_bump, square_well
-from lamespectra.spectra import discrete_eigenvalues, shift_invert_eigenvalues
+from lamespectra.spectra import discrete_eigenvalues
 
 # a real square well on a long 1d box first: textbook bound states
 lat = Lattice(1, 256, 30.0)
@@ -27,8 +27,3 @@ bump = gaussian_bump(lat, -4.0 - 2.0j, 1.5)
 res = discrete_eigenvalues(params, bump, tau_filter=0.6)
 for z, dist in zip(res.eigenvalues, res.distances):
     print(f"  z = {z.real:+8.4f} {z.imag:+8.4f}i   distance to ray {dist:6.3f}")
-
-# the same states, found matrix free: shift-invert Arnoldi around a target
-target = res.eigenvalues[np.argmin(res.eigenvalues.real)]
-near = shift_invert_eigenvalues(params, bump, complex(target) + 0.1, k=3)
-print("shift-invert near deepest:", np.sort_complex(near.eigenvalues))

@@ -95,14 +95,6 @@ class Potential:
         mask.setflags(write=False)
         return mask
 
-    @cached_property
-    def support_box(self):
-        """Half-open index ranges ((lo, hi), ...) per axis, None if V == 0."""
-        if not self.support_mask.any():
-            return None
-        idx = np.argwhere(self.support_mask)
-        return tuple((int(lo), int(hi) + 1) for lo, hi in zip(idx.min(0), idx.max(0)))
-
     @property
     def is_real(self) -> bool:
         return bool(np.all(self.field.values.imag == 0.0))

@@ -30,7 +30,6 @@ __all__ = [
     "vector_lp_norm",
     "l2_inner",
     "l2_norm",
-    "gradient_energy",
     "random_scalar_field",
     "random_vector_field",
 ]
@@ -362,12 +361,6 @@ def l2_inner(a, b) -> complex:
 def l2_norm(field) -> float:
     """Quadrature L^2 norm sqrt(<f, f>)."""
     return float(np.sqrt(l2_inner(field, field).real))
-
-
-def gradient_energy(field) -> float:
-    """||grad f||_2^2 computed spectrally as sum |xi|^2 |fhat|^2."""
-    coeffs = forward_transform(field).values
-    return float(np.sum(field.lattice.frequency_norm2 * np.abs(coeffs) ** 2))
 
 
 # -- random fields (deterministic under a seeded Generator) -------------------

@@ -23,7 +23,6 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .lame import (
     LameParams,
@@ -32,7 +31,6 @@ from .lame import (
     _shifted_symbols,
     apply_perturbed,
     distance_to_ray,
-    lame_symbol,
     resolvent_split,
 )
 from .lattice import (
@@ -60,7 +58,6 @@ __all__ = [
     "dense_operator_matrix",
     "dense_resolvent_matrix",
     "discrete_eigenvalues",
-    "shift_invert_eigenvalues",
     "bs_norm",
     "bs_check",
     "resolvent_norm_estimate",
@@ -68,8 +65,8 @@ __all__ = [
 
 
 def spectral_width(params: LameParams, lattice: Lattice) -> float:
-    """Largest unperturbed symbol eigenvalue, (lam + 2 mu) max |xi|^2."""
-    return params.longitudinal * float(lattice.frequency_norm2.max())
+    """||-Delta*||_2, the largest symbol eigenvalue: max(mu, lam + 2 mu) max |xi|^2."""
+    return max(params.mu, params.longitudinal) * float(lattice.frequency_norm2.max())
 
 
 def default_tau_filter(params: LameParams, lattice: Lattice) -> float:
@@ -144,13 +141,18 @@ def _gather_blocks(tables: np.ndarray, flat_off: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_tables(lattice: Lattice, symbols: np.ndarray) -> np.ndarray:
+    """Kernel tables (d, d, *grid) of a symbol stack (npts, d, d) over the frequencies."""
+    d = lattice.dim
+    tables = np.moveaxis(symbols, 0, 2).reshape((d, d) + lattice.shape)
+    return np.fft.ifftn(np.ascontiguousarray(tables), axes=tuple(range(2, 2 + d)))
+
+
 def dense_lame_matrix(params: LameParams, lattice: Lattice,
                       budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
     """Dense matrix of -Delta* in the component-major flat layout."""
     _check_budget(lattice.dim * lattice.npoints, budget_bytes, lattice.dim)
-    sym = lame_symbol(params, lattice.frequency_grid).astype(np.complex128)
-    axes = tuple(range(2, 2 + lattice.dim))
-    tables = np.fft.ifftn(sym, axes=axes)
+    tables = _kernel_tables(lattice, _shifted_symbols(params, lattice, 0.0))
     return _gather_blocks(tables, _offset_matrix(lattice))
 
 
@@ -167,15 +169,6 @@ def dense_operator_matrix(params: LameParams, V: Potential,
     return A
 
 
-def _inverse_symbol_tables(params: LameParams, z: complex, lattice: Lattice) -> np.ndarray:
-    """Kernel tables of (M(xi) - z)^-1, shape (dim, dim) + grid."""
-    d = lattice.dim
-    inv = np.linalg.inv(_shifted_symbols(params, lattice, z))  # (npts, d, d)
-    inv = np.moveaxis(inv, 0, 2).reshape((d, d) + lattice.shape)
-    axes = tuple(range(2, 2 + lattice.dim))
-    return np.fft.ifftn(np.ascontiguousarray(inv), axes=axes)
-
-
 def dense_resolvent_matrix(params: LameParams, z: complex, lattice: Lattice,
                            points: np.ndarray | None = None,
                            budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
@@ -183,7 +176,7 @@ def dense_resolvent_matrix(params: LameParams, z: complex, lattice: Lattice,
     _check_admissible(z)
     npts = lattice.npoints if points is None else len(points)
     _check_budget(lattice.dim * npts, budget_bytes, lattice.dim)
-    tables = _inverse_symbol_tables(params, z, lattice)
+    tables = _kernel_tables(lattice, np.linalg.inv(_shifted_symbols(params, lattice, z)))
     return _gather_blocks(tables, _offset_matrix(lattice, points))
 
 
@@ -238,11 +231,9 @@ def _ray_reach(params: LameParams, V: Potential) -> float:
     ||E||_2 <~ n eps ||A||_F <= n^1.5 eps ||A||_2 of A's (``zgeev`` is backward
     stable); n^1.5 eps < 1e-10 up to order 4000, past the default budget.
     The margin 1e-8 ||A||_2 covers that and the rounding of the assembled
-    -Delta*, with ||-Delta*||_2 = max(mu, lam + 2 mu) max |xi|^2 (the
-    spectral width unless lam < -mu).
+    -Delta*, with ||-Delta*||_2 the spectral width.
     """
-    h_norm = max(params.mu, params.longitudinal) * float(V.lattice.frequency_norm2.max())
-    margin = 1e-8 * (h_norm + float(np.abs(V.values).max()))
+    margin = 1e-8 * (spectral_width(params, V.lattice) + float(np.abs(V.values).max()))
     return float(distance_to_ray(V.values).max()) + margin
 
 
@@ -364,52 +355,6 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
     result = _package(params, V, lat, pairs, tau_filter, tau_res, info)
     return replace(result, eigensolve={
         "eigenvector_route": route, "lu_solves": lu_solves, "eigensolve_seconds": seconds})
-
-
-def shift_invert_eigenvalues(params: LameParams, V: Potential, sigma: complex,
-                             k: int = 6, tol: float = 1e-10,
-                             gmres_tol: float = 1e-12,
-                             tau_filter: float = 0.0,
-                             tau_res: float | None = None) -> SpectralResult:
-    """Matrix-free eigenvalues near ``sigma`` beyond the dense budget.
-
-    Arnoldi on (A - sigma)^-1, applied through GMRES with the unperturbed
-    resolvent as preconditioner; acceptance is purely residual based.
-    """
-    lat = V.lattice
-    if tau_res is None:
-        tau_res = default_tau_res(params, lat)
-    d = lat.dim
-    nflat = d * lat.npoints
-
-    def shifted(vec: np.ndarray) -> np.ndarray:
-        u = _vector_from_flat(lat, vec)
-        out = apply_perturbed(params, V, u) - sigma * u
-        # field buffers are frozen; solvers need a writable array back
-        return out.values.reshape(-1).copy()
-
-    def precondition(vec: np.ndarray) -> np.ndarray:
-        g = _vector_from_flat(lat, vec)
-        return resolvent_split(params, sigma, g).values.reshape(-1).copy()
-
-    A_op = scipy.sparse.linalg.LinearOperator((nflat, nflat), matvec=shifted, dtype=complex)
-    M_op = scipy.sparse.linalg.LinearOperator((nflat, nflat), matvec=precondition, dtype=complex)
-
-    def solve(vec: np.ndarray) -> np.ndarray:
-        sol, code = scipy.sparse.linalg.gmres(A_op, vec, M=M_op, rtol=gmres_tol, atol=0.0)
-        if code != 0:
-            raise RuntimeError(f"inner GMRES failed to converge (code {code})")
-        return sol
-
-    OP = scipy.sparse.linalg.LinearOperator((nflat, nflat), matvec=solve, dtype=complex)
-    theta, vecs = scipy.sparse.linalg.eigs(OP, k=k, which="LM", tol=tol)
-    pairs = []
-    for i in range(len(theta)):
-        if theta[i] == 0.0:
-            continue
-        pairs.append((sigma + 1.0 / theta[i], _vector_from_flat(lat, vecs[:, i])))
-    info = {"method": "shift_invert", "sigma": [sigma.real, sigma.imag], "k": k}
-    return _package(params, V, lat, pairs, tau_filter, tau_res, info)
 
 
 # -- Birman-Schwinger --------------------------------------------------------

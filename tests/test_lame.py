@@ -253,9 +253,7 @@ def test_potential_wrapper():
     V = Potential.from_array(lat, vals)
     assert not V.is_real
     assert V.support_mask.sum() == 3
-    assert V.support_box == ((2, 5),)
     W = Potential.from_array(lat, np.zeros(8))
-    assert W.support_box is None
     assert W.is_real
     with pytest.raises(ValueError):
         Potential.from_array(lat, np.full(8, np.nan))

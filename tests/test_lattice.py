@@ -10,7 +10,6 @@ from lamespectra.lattice import (
     VectorField,
     apply_multiplier,
     forward_transform,
-    gradient_energy,
     inverse_transform,
     l2_inner,
     random_scalar_field,
@@ -214,13 +213,6 @@ def test_l2_inner_matches_norm():
     u = random_vector_field(lat, rng)
     assert_allclose(l2_inner(u, u).real, vector_lp_norm(u, 2.0) ** 2, rtol=1e-13)
     assert abs(l2_inner(u, u).imag) < 1e-13
-
-
-def test_gradient_energy_single_mode():
-    lat = Lattice(1, 16, 2.0 * np.pi)
-    f = ScalarField.from_function(lat, lambda x: np.exp(3j * x[0]))
-    # |xi|^2 |fhat|^2 = 9 * L for the unit-amplitude mode
-    assert_allclose(gradient_energy(f), 9.0 * 2.0 * np.pi, rtol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

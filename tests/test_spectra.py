@@ -28,7 +28,6 @@ from lamespectra.spectra import (
     dense_resolvent_matrix,
     discrete_eigenvalues,
     resolvent_norm_estimate,
-    shift_invert_eigenvalues,
     spectral_width,
 )
 
@@ -137,9 +136,15 @@ def test_dense_peak_matches_model():
 def test_width_and_default_thresholds():
     lat = Lattice(1, 8)  # period 2 pi, max frequency 4
     params = LameParams(1.0, 1.0)
-    assert abs(spectral_width(params, lat) - 3.0 * 16.0) < 1e-12
-    assert abs(default_tau_filter(params, lat) - 1e-3 * 48.0) < 1e-15
-    assert abs(default_tau_res(params, lat) - 1e-8 * 48.0) < 1e-18
+    # lam < -mu: the shear modulus mu is the larger one, so the width is
+    # mu max |xi|^2 = 32, not (lam + 2 mu) max |xi|^2 = 16
+    soft, lat2 = LameParams(-1.5, 1.0), Lattice(2, 8)
+    for p, grid, width in ((params, lat, 48.0), (soft, lat2, 32.0)):
+        top = np.linalg.eigvalsh(dense_lame_matrix(p, grid)).max()
+        assert abs(top - width) < 1e-12 * width
+        assert spectral_width(p, grid) == width
+        assert abs(default_tau_filter(p, grid) - 1e-3 * width) < 1e-15
+        assert abs(default_tau_res(p, grid) - 1e-8 * width) < 1e-18
 
 
 # -- discrete eigenvalues ----------------------------------------------------
@@ -304,18 +309,6 @@ def test_discrete_eigenvalues_rejects_bad_filters(tau_filter, tau_res):
     V, _ = _well_fixture(32)
     with pytest.raises(ValueError, match="tau_filter >= 0 and tau_res > 0"):
         discrete_eigenvalues(WELL_PARAMS, V, tau_filter=tau_filter, tau_res=tau_res)
-
-
-def test_shift_invert_matches_dense():
-    V, oracle = _well_fixture(128)
-    dense = discrete_eigenvalues(WELL_PARAMS, V, tau_filter=0.5)
-    target = float(np.min(dense.eigenvalues.real))
-    res = shift_invert_eigenvalues(WELL_PARAMS, V, sigma=-4.5 + 0.0j, k=4,
-                                   tau_filter=0.5)
-    assert len(res) > 0
-    nearest = res.eigenvalues[np.argmin(np.abs(res.eigenvalues - target))]
-    assert abs(nearest - target) < 1e-8
-    assert res.solver_info["method"] == "shift_invert"
 
 
 # -- Birman-Schwinger --------------------------------------------------------
