@@ -163,8 +163,7 @@ def cmd_calibrate(run, out: Path) -> int:
     potentials = random_ensemble(run.lattice, ens["family"], ens["size"], seed=run.seed,
                                  real_only=real_only)
     try:
-        result = calibrate_constant(spec, [(run.material, V) for V in potentials],
-                                    record_a2=(spec.theorem == "T_KS"), **run.solver)
+        result = calibrate_constant(spec, [(run.material, V) for V in potentials], **run.solver)
     except EmptyEnsemble as exc:
         raise ConfigError(f"calibration produced no usable members: {exc}") from exc
     return _report(out, "calibration.json", result.to_dict(),

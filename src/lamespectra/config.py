@@ -39,10 +39,12 @@ _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # yaml decodes, so a bad byte is a YAMLError naming the file
             doc = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):

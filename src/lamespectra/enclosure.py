@@ -450,7 +450,7 @@ def _ensemble_fingerprint(spec: BoundSpec, ensemble) -> str:
 
 
 def calibrate_constant(spec: BoundSpec, ensemble, tau_filter: float | None = None,
-                       tau_res: float | None = None, record_a2: bool = False,
+                       tau_res: float | None = None,
                        budget_bytes: int = DEFAULT_BUDGET_BYTES) -> CalibrationResult:
     """Calibrate the unknown constant of a bound over (params, V) pairs.
 
@@ -469,7 +469,7 @@ def calibrate_constant(spec: BoundSpec, ensemble, tau_filter: float | None = Non
         spec.validate(V.lattice.dim, V)
         rhs = bound_rhs(spec, params, V, budget_bytes=budget_bytes)
         entry = {"index": i, "rhs": float(rhs), "n_eigenvalues": 0, "best_ratio": None}
-        if record_a2:
+        if spec.theorem == "T_KS":
             w = ScalarField(V.lattice, np.abs(V.values))
             entry["a2_constant"] = float(muckenhoupt_constant(w, 2.0))
         if rhs > 0.0:

@@ -1,4 +1,4 @@
-"""Periodic lattices, sampled fields, and Fourier multiplier application.
+"""Periodic lattices, sampled fields, and scalar Fourier multipliers.
 
 Everything downstream works on a uniform lattice over the periodic cell
 [0, L)^dim.  Frequencies are the integer modes 2*pi*k/L with k in
@@ -274,59 +274,26 @@ def _frequency_dot(lattice: Lattice, fhat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate_symbol(m, lattice: Lattice, vector: bool) -> tuple:
-    """A multiplier at every lattice frequency, and whether it is a matrix.
-
-    ``m`` is a callable of the whole frequency grid, shape (dim, *grid),
-    returning the grid shape for a scalar symbol or (dim, dim, *grid) for a
-    matrix one (as ``lame.lame_symbol`` does), or a precomputed array of the
-    grid shape or, for a matrix, the grid shape plus trailing (dim, dim)
-    axes.  Only a ``vector`` field takes a matrix symbol.  Matrix symbols
-    come back with trailing (dim, dim) axes.
-    """
-    d = lattice.dim
-    sym = np.asarray(m(lattice.frequency_grid) if callable(m) else m, dtype=np.complex128)
-    matrix = vector and sym.ndim == d + 2
-    if matrix and callable(m):
-        sym = np.moveaxis(sym, (0, 1), (-2, -1))
-    expect = lattice.shape + ((d, d) if matrix else ())
-    if sym.shape != expect:
-        raise ValueError(f"symbol array has shape {sym.shape}, expected {expect}")
-    return sym, matrix
-
-
-def _check_symbol_finite(sym: np.ndarray, lattice: Lattice) -> None:
-    bad = ~np.isfinite(sym)
-    if bad.any():
-        # report the first offending frequency by its integer index
-        grid_bad = bad.reshape(lattice.shape + (-1,)).any(axis=-1)
-        idx = np.argwhere(grid_bad)[0]
-        k = lattice.axis_integers()[idx]
-        raise ValueError(f"multiplier is not finite at frequency index {tuple(k)}")
-
-
-def apply_multiplier(m, field):
+def apply_multiplier(sym, field):
     """Apply a Fourier multiplier: transform, multiply the symbol, invert.
 
-    Parameters
-    ----------
-    m : callable or ndarray
-        A callable gets the frequency grid (dim, *grid) once.  For a
-        ScalarField it returns the symbol on the grid shape.  For a
-        VectorField it returns either that, applied componentwise, or a
-        (dim, dim, *grid) matrix acting on coefficient vectors.  Precomputed
-        arrays have the grid shape, or for a matrix the grid shape plus
-        trailing (dim, dim) axes.
-    field : ScalarField or VectorField
+    ``sym`` is the scalar symbol at every frequency, an array of
+    ``lattice.shape`` in FFT order, cast to complex128; a VectorField takes
+    it componentwise.  Raises ValueError for any other shape, or for a
+    non-finite entry, naming the first one's integer frequency index.
     """
-    lattice = field.lattice
     if not isinstance(field, (ScalarField, VectorField)):
         raise TypeError(f"expected ScalarField or VectorField, got {type(field).__name__}")
-    sym, matrix = _evaluate_symbol(m, lattice, vector=isinstance(field, VectorField))
-    _check_symbol_finite(sym, lattice)
+    lattice = field.lattice
+    if np.shape(sym) != lattice.shape:  # a callable has shape ()
+        raise ValueError(f"symbol array has shape {np.shape(sym)}, expected {lattice.shape}")
+    sym = np.asarray(sym, dtype=np.complex128)
+    bad = ~np.isfinite(sym)
+    if bad.any():
+        k = lattice.axis_integers()[np.argwhere(bad)[0]]
+        raise ValueError(f"multiplier is not finite at frequency index {tuple(k)}")
     fhat = forward_transform(field).values
-    out = np.einsum("...jk,k...->j...", sym, fhat) if matrix else fhat * sym
-    return inverse_transform(_adopt(type(field), lattice, out))
+    return inverse_transform(_adopt(type(field), lattice, fhat * sym))
 
 
 # -- quadrature norms ---------------------------------------------------------

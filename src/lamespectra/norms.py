@@ -145,6 +145,8 @@ def _check_morrey_campanato(dim: int, alpha: float, p: float) -> None:
 def _check_kerman_sayer(dim: int, alpha: float, eps_mass: float = EPS_MASS) -> None:
     if not 0.0 < alpha < dim:
         raise ValueError(f"alpha must lie in (0, dim) = (0, {dim}), got {alpha}")
+    if not 0.0 <= eps_mass < math.inf:  # a negative floor divides zero-mass cubes by zero
+        raise ValueError(f"eps_mass must be finite and >= 0, got {eps_mass}")
 
 
 def _check_muckenhoupt(dim: int, p: float, eps_w: float = EPS_WEIGHT) -> None:
@@ -570,7 +572,7 @@ def kerman_sayer_norm(V: Potential, alpha: float, eps_mass: float = EPS_MASS,
     """
     lat = V.lattice
     d = lat.dim
-    _check_kerman_sayer(d, alpha)
+    _check_kerman_sayer(d, alpha, eps_mass)
     need = _ks_bytes(lat)
     if need > budget_bytes:
         raise BudgetExceeded(

@@ -493,6 +493,9 @@ def test_norm_windows_are_checked_before_any_scan(tmp_path, monkeypatch, capsys)
     cfg = _write(tmp_path, _NORMS + "[{name: morrey_campanato, alpha: 1.5, p: 1.0}]\n")
     assert main(["norms", "-c", cfg, "-o", str(tmp_path / "o")]) == 2
     assert "norms[0]: alpha must lie in (0, dim/p] = (0, 1.0]" in capsys.readouterr().err
+    cfg = _write(tmp_path, _NORMS + "[{name: kerman_sayer, alpha: 0.5, eps_mass: -1.0}]\n")
+    assert main(["norms", "-c", cfg, "-o", str(tmp_path / "o")]) == 2
+    assert "error: norms[0]: eps_mass must be finite and >= 0, got -1.0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -590,6 +593,19 @@ def test_fuzzed_config_exits_with_a_documented_code(data):
 
 def test_missing_config_exit_code(tmp_path):
     assert main(["spectrum", "-c", str(tmp_path / "none.yaml"), "-o", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    cfg = tmp_path / "run.yaml"
+    if kind == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b"lattice: {dim: 1, points: 16}\n\xff\n")
+    assert main(["spectrum", "-c", str(cfg), "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err
+    assert "Traceback" not in err
 
 
 def test_calibrate_deterministic(tmp_path):

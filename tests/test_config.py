@@ -97,6 +97,7 @@ def test_libyaml_loader_reads_every_config_alike(tmp_path):
      "norms[1]: alpha must lie in (0, dim/p]"),
     ([{"name": "weighted_lq", "q": 2.0, "alpha": -0.5}], "norms[0]: alpha must be >= 0"),
     ([{"name": "muckenhoupt", "p": 1.0}], "norms[0]: p must be > 1"),
+    ([{"name": "kerman_sayer", "alpha": 1.0, "eps_mass": -1.0}], "norms[0]: eps_mass must be"),
 ])
 def test_check_config_checks_norm_windows(norms, named):
     cfg = {"lattice": {"dim": 2, "points": 8},

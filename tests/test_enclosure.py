@@ -336,7 +336,7 @@ def test_calibrate_records_members():
 def test_calibrate_record_a2():
     V = _real_potential_2d()
     with pytest.warns(UserWarning, match="floor"):
-        result = calibrate_constant(BoundSpec("T_KS", 0.4), [(PARAMS, V)], record_a2=True)
+        result = calibrate_constant(BoundSpec("T_KS", 0.4), [(PARAMS, V)])
     assert result.members[0]["a2_constant"] >= 1.0
 
 

@@ -18,7 +18,8 @@ from lamespectra.lattice import (
     Lattice,
     ScalarField,
     VectorField,
-    apply_multiplier,
+    forward_transform,
+    inverse_transform,
     random_vector_field,
     vector_lp_norm,
 )
@@ -89,12 +90,16 @@ def test_apply_lame_1d_is_scalar_second_derivative():
 
 
 def test_apply_lame_matches_symbol_multiplier():
+    # the grid form of lame_symbol, applied to the coefficients frequency by
+    # frequency, is the multiplier that apply_lame implements
     lat = Lattice(2, 8)
     params = LameParams(1.0, 2.0)
     rng = np.random.default_rng(1)
     u = random_vector_field(lat, rng)
     a = apply_lame(params, u)
-    b = apply_multiplier(lambda xi: lame_symbol(params, xi), u)
+    table = lame_symbol(params, lat.frequency_grid)
+    uhat = forward_transform(u).values
+    b = inverse_transform(VectorField(lat, np.einsum("ij...,j...->i...", table, uhat)))
     assert np.max(np.abs(a.values - b.values)) < 1e-11
 
 

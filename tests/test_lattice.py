@@ -154,33 +154,32 @@ def test_apply_multiplier_scalar_matches_manual():
     lat = Lattice(1, 16, 2.0 * np.pi)
     rng = np.random.default_rng(2)
     f = random_scalar_field(lat, rng)
-    out = apply_multiplier(lambda xi: np.sum(xi * xi, axis=0), f)
+    out = apply_multiplier(lat.frequency_norm2, f)
     manual = inverse_transform(
         ScalarField(lat, lat.frequency_norm2 * forward_transform(f).values)
     )
     assert np.max(np.abs(out.values - manual.values)) < 1e-12
 
 
-def test_apply_multiplier_accepts_precomputed_array():
-    lat = Lattice(2, 8, 1.0)
-    rng = np.random.default_rng(3)
-    f = random_scalar_field(lat, rng)
-    table = np.exp(-lat.frequency_norm2)
-    a = apply_multiplier(table, f)
-    b = apply_multiplier(lambda xi: np.exp(-np.sum(xi * xi, axis=0)), f)
-    assert np.max(np.abs(a.values - b.values)) < 1e-13
-
-
-def test_apply_multiplier_matrix_symbol_single_mode():
+@pytest.mark.parametrize("symbol", [
+    lambda xi: np.sum(xi * xi, axis=0),
+    np.zeros((2, 2, 8, 8)),
+    np.zeros((8,)),
+])
+def test_apply_multiplier_takes_only_a_grid_shaped_array(symbol):
     lat = Lattice(2, 8, 2.0 * np.pi)
-    u = VectorField.from_components(
-        [ScalarField.from_function(lat, lambda x: np.exp(1j * x[0])),
-         ScalarField.from_function(lat, lambda x: 0.5 * np.exp(1j * x[0]))]
-    )
-    # symbol xi xi^T picks out the first component on this mode
-    out = apply_multiplier(lambda xi: np.einsum("i...,j...->ij...", xi, xi), u)
-    expected = np.stack([u.values[0], np.zeros_like(u.values[1])])
-    assert np.max(np.abs(out.values - expected)) < 1e-12
+    u = random_vector_field(lat, np.random.default_rng(4))
+    with pytest.raises(ValueError, match=r"expected \(8, 8\)"):
+        apply_multiplier(symbol, u)
+
+
+def test_apply_multiplier_vector_field_componentwise():
+    lat = Lattice(2, 8, 2.0 * np.pi)
+    u = random_vector_field(lat, np.random.default_rng(5))
+    sym = np.exp(-lat.frequency_norm2)
+    out = apply_multiplier(sym, u)
+    for j in range(lat.dim):
+        assert np.array_equal(out.values[j], apply_multiplier(sym, u.component(j)).values)
 
 
 def test_apply_multiplier_rejects_nonfinite_symbol():

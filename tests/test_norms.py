@@ -217,6 +217,8 @@ def test_mc_scan_reports_screen_counts():
     ("lp", 2, {}, "needs the parameter 'p'"),
     ("lp", 2, {"p": 2.0, "q": 1.0}, "takes no parameter 'q'"),
     ("coulomb", 2, {}, "unknown norm"),
+    ("kerman_sayer", 2, {"alpha": 1.0, "eps_mass": -1.0}, "eps_mass must be finite and >= 0"),
+    ("kerman_sayer", 2, {"alpha": 1.0, "eps_mass": np.nan}, "eps_mass must be finite and >= 0"),
 ])
 def test_check_norm_rejects_outside_the_window(name, dim, params, match):
     with pytest.raises(ValueError, match=match):
@@ -232,6 +234,9 @@ def test_check_norm_fills_defaults_and_matches_the_scans():
         kerman_sayer_norm(V, 2.0)
     with pytest.raises(ValueError, match=r"\(0, 2\), got 2.0"):
         check_norm("kerman_sayer", 2, {"alpha": 2.0})
+    for eps_mass in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="eps_mass must be finite and >= 0"):
+            kerman_sayer_norm(V, 1.0, eps_mass=eps_mass)
 
 
 # -- Kerman-Sayer ------------------------------------------------------------

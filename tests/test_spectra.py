@@ -47,13 +47,15 @@ def _well_fixture(n, L=30.0, depth=5.0):
 
 
 def test_dense_lame_matrix_action():
+    # dense_lame_matrix is built from lame_symbol, so this also checks apply_lame
+    # against the symbol
     lat = Lattice(2, 8)
-    params = LameParams(1.0, 0.5)
-    A = dense_lame_matrix(params, lat)
-    rng = np.random.default_rng(0)
-    u = random_vector_field(lat, rng)
-    direct = apply_lame(params, u).values.reshape(-1)
-    assert np.max(np.abs(A @ u.values.reshape(-1) - direct)) < 1e-10
+    cases = [(LameParams(1.0, 0.5), 0, 1e-10), (LameParams(1.0, 2.0), 1, 1e-11)]
+    for params, seed, bound in cases:
+        A = dense_lame_matrix(params, lat)
+        u = random_vector_field(lat, np.random.default_rng(seed))
+        direct = apply_lame(params, u).values.reshape(-1)
+        assert np.max(np.abs(A @ u.values.reshape(-1) - direct)) < bound
 
 
 def test_dense_operator_matrix_action():
