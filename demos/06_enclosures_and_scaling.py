@@ -8,7 +8,7 @@ import numpy as np
 
 from lamespectra.enclosure import (
     BoundSpec,
-    bound_1d_radius,
+    bound_rhs,
     enclosure_report,
     scaling_exponent_test,
 )
@@ -26,7 +26,7 @@ res = discrete_eigenvalues(params, V, tau_filter=1.5)
 
 spec = BoundSpec("T1d", 0.5)
 report = enclosure_report(spec, params, V, res)
-print("disc radius", bound_1d_radius(params, V))
+print("disc radius", bound_rhs(spec, params, V) ** 2)
 for z, ratio, verdict in zip(report.eigenvalues_tested, report.ratios, report.verdicts):
     print(f"  z = {z:+10.4f}  ratio {ratio:.3f}  {verdict}")
 

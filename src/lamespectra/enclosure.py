@@ -48,7 +48,6 @@ __all__ = [
     "EnclosureReport",
     "ScalingReport",
     "CalibrationResult",
-    "bound_1d_radius",
     "bound_rhs",
     "enclosure_report",
     "scaling_exponent_test",
@@ -205,13 +204,6 @@ def default_gamma_grid(theorem: str, dim: int) -> tuple:
 # -- right-hand sides ---------------------------------------------------------
 
 
-def bound_1d_radius(params: LameParams, V: Potential) -> float:
-    """Enclosure radius (||V||_1 / (2 sqrt(lam + 2 mu)))^2 in d = 1."""
-    if V.lattice.dim != 1:
-        raise HypothesisViolation(f"the explicit radius requires d = 1, got d = {V.lattice.dim}")
-    return (lp_norm(V, 1.0) / (2.0 * np.sqrt(params.longitudinal))) ** 2
-
-
 def bound_rhs(spec: BoundSpec, params: LameParams, V: Potential,
               budget_bytes: int = DEFAULT_BUDGET_BYTES) -> float:
     """Right-hand side of |z|^gamma <= C * rhs for the requested bound.
@@ -240,6 +232,11 @@ def bound_rhs(spec: BoundSpec, params: LameParams, V: Potential,
     # T_SA
     neg = np.maximum(-V.values.real, 0.0)
     return lp_norm(Potential.from_array(V.lattice, neg), q) ** q
+
+
+def _a2_constant(V: Potential) -> float:
+    """A_2 constant of |V|, recorded beside every T_KS right-hand side."""
+    return float(muckenhoupt_constant(ScalarField(V.lattice, np.abs(V.values)), 2.0))
 
 
 # -- reports ------------------------------------------------------------------
@@ -290,8 +287,7 @@ def enclosure_report(spec: BoundSpec, params: LameParams, V: Potential,
             verdicts.append("recorded")
     extras = {}
     if spec.theorem == "T_KS":
-        w = ScalarField(V.lattice, np.abs(V.values))
-        extras["a2_constant"] = float(muckenhoupt_constant(w, 2.0))
+        extras["a2_constant"] = _a2_constant(V)
     return EnclosureReport(
         bound_spec=spec.to_dict(),
         rhs_value=float(rhs),
@@ -466,12 +462,10 @@ def calibrate_constant(spec: BoundSpec, ensemble, tau_filter: float | None = Non
     eigensolves = []
     best = None
     for i, (params, V) in enumerate(ensemble):
-        spec.validate(V.lattice.dim, V)
         rhs = bound_rhs(spec, params, V, budget_bytes=budget_bytes)
         entry = {"index": i, "rhs": float(rhs), "n_eigenvalues": 0, "best_ratio": None}
         if spec.theorem == "T_KS":
-            w = ScalarField(V.lattice, np.abs(V.values))
-            entry["a2_constant"] = float(muckenhoupt_constant(w, 2.0))
+            entry["a2_constant"] = _a2_constant(V)
         if rhs > 0.0:
             res = discrete_eigenvalues(params, V, tau_filter=tau_filter, tau_res=tau_res,
                                        budget_bytes=budget_bytes)

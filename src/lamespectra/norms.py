@@ -27,10 +27,8 @@ from .lattice import (
 from .lame import Potential
 
 __all__ = [
-    "DyadicCube",
     "NormResult",
     "dyadic_level_max",
-    "dyadic_cubes",
     "dyadic_radius_exponents",
     "polynomial_weight",
     "lp_norm",
@@ -38,9 +36,6 @@ __all__ = [
     "morrey_campanato_norm",
     "kerman_sayer_norm",
     "muckenhoupt_constant",
-    "mc_ball_value",
-    "ks_cube_value",
-    "ap_cube_value",
     "norm_result",
     "check_norm",
     "NORM_PARAMS",
@@ -51,23 +46,8 @@ EPS_WEIGHT = 1e-12
 
 
 @dataclass(frozen=True)
-class DyadicCube:
-    """Dyadic sub-cube: level 0 is the whole cell, each level halves the side."""
-
-    level: int
-    corner: tuple
-    side: int  # in grid cells
-
-    def slices(self) -> tuple:
-        return tuple(slice(c, c + self.side) for c in self.corner)
-
-    def to_dict(self) -> dict:
-        return {"level": self.level, "corner": list(self.corner), "side": self.side}
-
-
-@dataclass(frozen=True)
 class NormResult:
-    """A computed norm with the argmax witness that reproduces it."""
+    """A computed norm with the witness naming its winning ball, cube or sample."""
 
     norm_name: str
     params: dict
@@ -93,16 +73,6 @@ def dyadic_level_max(n: int) -> int:
         n //= 2
         level += 1
     return level
-
-
-def dyadic_cubes(lattice: Lattice):
-    """Yield every dyadic cube of the cell, coarse to fine, row-major corners."""
-    n = lattice.n
-    for level in range(dyadic_level_max(n) + 1):
-        side = n >> level
-        starts = range(0, n, side)
-        for corner in np.ndindex(*((len(starts),) * lattice.dim)):
-            yield DyadicCube(level, tuple(c * side for c in corner), side)
 
 
 def dyadic_radius_exponents(lattice: Lattice) -> list:
@@ -177,16 +147,6 @@ def weighted_lq_norm(V: Potential, q: float, alpha: float) -> float:
 # -- Morrey-Campanato --------------------------------------------------------
 
 
-def mc_ball_value(V: Potential, alpha: float, p: float, center: tuple, j: int) -> float:
-    """Candidate r^alpha (r^-dim Int_{B_r(x)} |V|^p)^(1/p) for one ball.
-
-    ``center`` is a grid multi-index and the radius is h * 2^j; membership is
-    the exact integer test |offset|^2 <= 4^j.
-    """
-    return _mc_ball(V.lattice, np.abs(V.values) ** p, _offset_norms(V.lattice.dim, 2**j),
-                    alpha, p, center, j)
-
-
 def _offset_norms(dim: int, R: int) -> np.ndarray:
     """|offset|^2 of the integer offsets in [-R, R]^dim, as a (2R+1,)*dim grid."""
     return sum(a * a for a in np.ogrid[(slice(-R, R + 1),) * dim])
@@ -194,8 +154,9 @@ def _offset_norms(dim: int, R: int) -> np.ndarray:
 
 def _mc_ball(lat: Lattice, W: np.ndarray, m: np.ndarray, alpha: float, p: float,
              center, j: int) -> float:
-    # mc_ball_value from W = |V|^p and m = _offset_norms(dim, R >= 2^j): the ball's
-    # clipped box yields, in row-major order, the sequence a whole-grid mask picks.
+    # r^alpha (r^-dim Int_{B_r(center)} |V|^p)^(1/p), r = h 2^j, from W = |V|^p and
+    # m = _offset_norms(dim, R >= 2^j); membership is |offset|^2 <= 4^j in integers,
+    # and the ball's clipped box yields, in row-major order, what a whole-grid mask picks.
     h = lat.spacing
     rad = 2**j
     R = m.shape[0] // 2
@@ -221,7 +182,7 @@ def _mc_rows(r: int, dim: int) -> tuple:
 
 
 # A screened ball sum is a tree of adds over the ball's terms and padded
-# zeros (each row window, then the rows), and mc_ball_value's np.sum adds
+# zeros (each row window, then the rows), and _mc_ball's np.sum adds
 # the same terms in another order; adding +0.0 is exact, so each adds at most
 # N nonnegative terms and lies within (N-1)u of the exact ball sum (u =
 # 2^-53).  The candidate formula adds a few ulps.  The true maximum's
@@ -273,7 +234,7 @@ def morrey_campanato_norm(V: Potential, alpha: float, p: float,
     grows by two shifted adds per w, and a ball of radius r is the sum of
     S_w shifted by o over its rows (o, w) (:func:`_mc_rows`).  Every
     candidate within ``_MC_SLACK`` of the screened top is then re-evaluated
-    as :func:`mc_ball_value` does, center-major then radius order, so value
+    by :func:`_mc_ball`, center-major then radius order, so value
     and witness are those of the exhaustive scan.  Raises
     :class:`BudgetExceeded`, before any work, when the modelled peak
     (:func:`_mc_bytes`) would not fit ``budget_bytes``.  A ``counts`` dict,
@@ -337,15 +298,11 @@ def morrey_campanato_norm(V: Potential, alpha: float, p: float,
 # -- dyadic levels -----------------------------------------------------------
 
 
-def _cube_block(values: np.ndarray, cube: DyadicCube) -> np.ndarray:
-    return values[cube.slices()].flatten()
-
-
 def _level_blocks(values: np.ndarray, side: int) -> np.ndarray:
     """One dyadic level as a contiguous (cubes, side^dim) array.
 
-    Rows follow :func:`dyadic_cubes` (row-major corners) and hold each cube's
-    cells in row-major order, as ``_cube_block`` lays them out.
+    Rows follow the cubes' corners in row-major order and hold each cube's
+    cells in row-major order.
     """
     d = values.ndim
     k = values.shape[0] // side
@@ -354,9 +311,10 @@ def _level_blocks(values: np.ndarray, side: int) -> np.ndarray:
     return np.ascontiguousarray(split.transpose(order)).reshape(k**d, side**d)
 
 
-def _level_cube(level: int, side: int, index: int, dim: int) -> DyadicCube:
+def _cube_witness(level: int, side: int, index: int, dim: int) -> dict:
+    """Witness of the cube in row ``index`` of :func:`_level_blocks` at ``level``."""
     corner = np.unravel_index(index, (2**level,) * dim)
-    return DyadicCube(level, tuple(int(c) * side for c in corner), side)
+    return {"level": level, "corner": [int(c) * side for c in corner], "side": side}
 
 
 def _first_above(cand: np.ndarray, best: float):
@@ -546,18 +504,6 @@ def _ks_bytes(lattice: Lattice) -> int:
     return 8 * (3 * npts + worst + 2 * np.getbufsize() + 2048)
 
 
-def ks_cube_value(V: Potential, alpha: float, cube: DyadicCube,
-                  eps_mass: float = EPS_MASS) -> float:
-    """Ratio (Int_Q |V|)^-1 IntInt_{QxQ, x!=y} |V(x)||V(y)| |x-y|^(alpha-dim)."""
-    lat = V.lattice
-    w = _cube_block(np.abs(V.values), cube)
-    mass = np.sum(w) * lat.spacing**lat.dim
-    if not mass > eps_mass:
-        return 0.0
-    counts = {"products_formed": 0, "products_skipped_zero": 0}
-    return float(_ks_numerators(lat, cube.side, alpha, w[None], counts)[0] / mass)
-
-
 def kerman_sayer_norm(V: Potential, alpha: float, eps_mass: float = EPS_MASS,
                       return_witness: bool = False,
                       budget_bytes: int = DEFAULT_BUDGET_BYTES,
@@ -597,39 +543,13 @@ def kerman_sayer_norm(V: Potential, alpha: float, eps_mass: float = EPS_MASS,
         i = _first_above(cand, best)
         if i is not None:
             best = float(cand[i])
-            best_witness = _level_cube(level, side, int(kept[i]), d).to_dict()
+            best_witness = _cube_witness(level, side, int(kept[i]), d)
     if return_witness:
         return best, best_witness
     return best
 
 
 # -- Muckenhoupt -------------------------------------------------------------
-
-
-def _checked_weight(w: ScalarField, eps_w: float) -> np.ndarray:
-    values = w.values
-    if np.any(values.imag != 0.0):
-        raise ValueError("weight must be real")
-    values = values.real
-    if np.any(values < 0.0):
-        raise ValueError("weight must be nonnegative")
-    if np.any(values == 0.0):
-        warnings.warn(
-            f"weight vanishes on {int(np.sum(values == 0.0))} cells; flooring at {eps_w}",
-            stacklevel=3,
-        )
-        values = np.maximum(values, eps_w)
-    return values
-
-
-def ap_cube_value(w: ScalarField, p: float, cube: DyadicCube,
-                  eps_w: float = EPS_WEIGHT) -> float:
-    """Candidate (avg_Q w) (avg_Q w^(-1/(p-1)))^(p-1) for one cube."""
-    values = _checked_weight(w, eps_w)
-    block = _cube_block(values, cube)
-    m1 = np.mean(block)
-    m2 = np.mean(block ** (-1.0 / (p - 1.0)))
-    return float(m1 * m2 ** (p - 1.0))
 
 
 def muckenhoupt_constant(w: ScalarField, p: float, eps_w: float = EPS_WEIGHT,
@@ -640,7 +560,17 @@ def muckenhoupt_constant(w: ScalarField, p: float, eps_w: float = EPS_WEIGHT,
     is rejected.  Constant weights give 1 up to rounding of the reciprocal.
     """
     _check_muckenhoupt(w.lattice.dim, p, eps_w)
-    values = np.ascontiguousarray(_checked_weight(w, eps_w))
+    if np.any(w.values.imag != 0.0):
+        raise ValueError("weight must be real")
+    values = np.ascontiguousarray(w.values.real)
+    if np.any(values < 0.0):
+        raise ValueError("weight must be nonnegative")
+    if np.any(values == 0.0):
+        warnings.warn(
+            f"weight vanishes on {int(np.sum(values == 0.0))} cells; flooring at {eps_w}",
+            stacklevel=2,
+        )
+        values = np.maximum(values, eps_w)
     dual = values ** (-1.0 / (p - 1.0))
     n = w.lattice.n
     best = 0.0
@@ -654,7 +584,7 @@ def muckenhoupt_constant(w: ScalarField, p: float, eps_w: float = EPS_WEIGHT,
         i = _first_above(cand, best)
         if i is not None:
             best = float(cand[i])
-            best_witness = _level_cube(level, side, i, values.ndim).to_dict()
+            best_witness = _cube_witness(level, side, i, values.ndim)
     if return_witness:
         return best, best_witness
     return best

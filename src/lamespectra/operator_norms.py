@@ -14,6 +14,8 @@ from .lattice import _adopt, l2_norm, scalar_lp_norm
 
 __all__ = ["ConvergenceError", "singular_norm", "lp_operator_norm"]
 
+_MIN_ITER = 10  # steps taken before the stopping test may end the power iteration
+
 
 class ConvergenceError(RuntimeError):
     """Iteration failed to settle; ``bracket`` holds the last two estimates."""
@@ -28,7 +30,7 @@ def _rescale(field, c: float):
 
 
 def singular_norm(apply_op, apply_adjoint, start, tol: float = 1e-10,
-                  max_iter: int = 5000, min_iter: int = 10) -> float:
+                  max_iter: int = 5000) -> float:
     """Largest singular value of K via power iteration on K*K.
 
     Parameters
@@ -64,7 +66,7 @@ def singular_norm(apply_op, apply_adjoint, start, tol: float = 1e-10,
             return sigma_new
         v = _rescale(w, 1.0 / nw)
         sigma_prev, sigma = sigma, sigma_new
-        if it >= min_iter and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+        if it >= _MIN_ITER and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
             return sigma
     raise ConvergenceError(
         f"power iteration did not settle in {max_iter} steps", (sigma_prev, sigma)

@@ -183,19 +183,27 @@ def ks_norm_brute(V, alpha, eps_mass=0.0):
     return best
 
 
-def ap_constant_brute(values, n, dim, p):
-    """A_p sup over dyadic cubes for an everywhere-positive weight array."""
+def ap_candidates_brute(values, n, dim, p):
+    """(candidate, witness) of every dyadic cube of an everywhere-positive weight.
+
+    Coarse to fine, row-major corners; the witness is the cube's
+    ``{"level", "corner", "side"}``.
+    """
     inv_pow = -1.0 / (p - 1.0)
-    best = 0.0
-    for _, corner, side in dyadic_cubes_brute(n, dim):
+    out = []
+    for level, corner, side in dyadic_cubes_brute(n, dim):
         cells = _cube_cells(corner, side, dim)
         block = np.array([values[c] for c in cells])
         m1 = np.mean(block)
         m2 = np.mean(block**inv_pow)
-        cand = float(m1 * m2 ** (p - 1.0))
-        if cand > best:
-            best = cand
-    return best
+        witness = {"level": level, "corner": list(corner), "side": side}
+        out.append((float(m1 * m2 ** (p - 1.0)), witness))
+    return out
+
+
+def ap_constant_brute(values, n, dim, p):
+    """A_p sup over dyadic cubes for an everywhere-positive weight array."""
+    return max(cand for cand, _ in ap_candidates_brute(values, n, dim, p))
 
 
 def well_bound_states(depth, half_width, c):

@@ -6,7 +6,6 @@ from lamespectra.enclosure import (
     CalibrationResult,
     EmptyEnsemble,
     HypothesisViolation,
-    bound_1d_radius,
     bound_rhs,
     calibrate_constant,
     default_gamma_grid,
@@ -157,9 +156,8 @@ def test_t1d_rhs_and_radius():
     rhs = bound_rhs(BoundSpec("T1d", 0.5), PARAMS, V)
     expected = lp_norm(V, 1.0) / (2.0 * np.sqrt(2.5))
     assert abs(rhs - expected) < 1e-12
-    assert abs(bound_1d_radius(PARAMS, V) - rhs**2) < 1e-12
-    with pytest.raises(HypothesisViolation):
-        bound_1d_radius(PARAMS, _real_potential_2d())
+    with pytest.raises(HypothesisViolation, match="T1d requires d = 1"):
+        bound_rhs(BoundSpec("T1d", 0.5), PARAMS, _real_potential_2d())
 
 
 def test_tlp_rhs():
@@ -218,7 +216,7 @@ def test_enclosure_report_margin_and_outside():
     lat = Lattice(1, 32, 8.0)
     V = square_well(lat, 2.0, 1.0)
     spec = BoundSpec("T1d", 0.5)
-    radius = bound_1d_radius(LameParams(-1.0, 1.0), V)
+    radius = bound_rhs(spec, LameParams(-1.0, 1.0), V) ** 2
     inside = SpectralResult(np.array([-radius + 0j]), np.zeros(1), np.array([radius]), {})
     outside = SpectralResult(np.array([-1.1 * radius + 0j]), np.zeros(1), np.array([1.1 * radius]), {})
     rep_in = enclosure_report(spec, LameParams(-1.0, 1.0), V, inside, margin=1e-2)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ap_candidates_brute,
     ap_constant_brute,
-    dyadic_cubes_brute,
     ks_norm_brute,
     ks_norm_dense,
     ks_numerators_in_memory,
@@ -22,23 +22,20 @@ from lamespectra.lattice import BudgetExceeded, Lattice, ScalarField
 from lamespectra.potentials import gaussian_bump
 from lamespectra.norms import (
     _KS_LEAF,
-    DyadicCube,
     _ks_bytes,
     _ks_numerators,
     _ks_windows,
     _level_blocks,
+    _mc_ball,
     _mc_bytes,
     _mc_rows,
+    _offset_norms,
     _pairwise_sum,
-    ap_cube_value,
     check_norm,
-    dyadic_cubes,
     dyadic_level_max,
     dyadic_radius_exponents,
     kerman_sayer_norm,
-    ks_cube_value,
     lp_norm,
-    mc_ball_value,
     morrey_campanato_norm,
     muckenhoupt_constant,
     norm_result,
@@ -62,30 +59,6 @@ def test_dyadic_level_max():
     assert dyadic_level_max(12) == 2
     assert dyadic_level_max(6) == 1
     assert dyadic_level_max(4) == 2
-
-
-@pytest.mark.parametrize("dim,n", [(1, 8), (2, 8), (2, 12), (3, 4)])
-def test_dyadic_cubes_tile_each_level(dim, n):
-    lat = Lattice(dim, n)
-    by_level = {}
-    for cube in dyadic_cubes(lat):
-        by_level.setdefault(cube.level, []).append(cube)
-    assert sorted(by_level) == list(range(dyadic_level_max(n) + 1))
-    for level, cubes in by_level.items():
-        side = n // 2**level
-        assert all(c.side == side for c in cubes)
-        assert len(cubes) == 2 ** (level * dim)
-        hit = np.zeros(lat.shape, dtype=int)
-        for c in cubes:
-            hit[c.slices()] += 1
-        assert np.all(hit == 1)
-
-
-def test_dyadic_cubes_match_brute():
-    for dim, n in [(1, 8), (2, 4)]:
-        lat = Lattice(dim, n)
-        got = {(c.level, c.corner, c.side) for c in dyadic_cubes(lat)}
-        assert got == set(dyadic_cubes_brute(n, dim))
 
 
 def test_dyadic_radius_exponents():
@@ -143,9 +116,7 @@ def test_mc_norm_matches_brute_exactly(dim, n, alpha, p):
 
 def test_mc_witness_reproduces_value():
     V = _random_potential(2, 8, 13)
-    value, witness = morrey_campanato_norm(V, 0.7, 1.0, return_witness=True)
-    again = mc_ball_value(V, 0.7, 1.0, tuple(witness["center"]), witness["radius_exponent"])
-    assert again == value
+    assert morrey_campanato_norm(V, 0.7, 1.0, return_witness=True) == mc_norm_loop(V, 0.7, 1.0)
 
 
 def test_mc_validation():
@@ -283,9 +254,15 @@ def test_ks_eps_mass_skips_light_cubes():
 
 def test_ks_witness_reproduces_value():
     V = _random_potential(2, 8, 16)
+    assert kerman_sayer_norm(V, 0.8, return_witness=True) == ks_norm_dense(V, 0.8)
+    # a cluster in the third level-1 cube wins, after a zero-mass cube is skipped
+    vals = np.zeros((8, 8))
+    vals[4:6, 2:4] = 5.0
+    vals[0, 7] = 3.0
+    V = Potential.from_array(Lattice(2, 8), vals)
     value, witness = kerman_sayer_norm(V, 0.8, return_witness=True)
-    cube = DyadicCube(witness["level"], tuple(witness["corner"]), witness["side"])
-    assert ks_cube_value(V, 0.8, cube) == value
+    assert witness == {"level": 1, "corner": [4, 0], "side": 4}
+    assert (value, witness) == ks_norm_dense(V, 0.8)
 
 
 def test_ks_validation():
@@ -527,12 +504,13 @@ def test_mc_ball_value_matches_whole_grid_mask(dim, n):
     W = (np.abs(V.values) ** 1.5).reshape(-1)
     idx = np.indices(V.lattice.shape).reshape(dim, -1).T
     h = V.lattice.spacing
+    m_box = _offset_norms(dim, n // 2)
     for c in np.ndindex(V.lattice.shape):
         m = np.sum((idx - c) ** 2, axis=1)
         for j in dyadic_radius_exponents(V.lattice):
             r = h * float(2**j)
             want = r**0.7 * (np.sum(W[m <= 4**j]) * h**dim / r**dim) ** (1.0 / 1.5)
-            assert mc_ball_value(V, 0.7, 1.5, c, j) == want
+            assert _mc_ball(V.lattice, W.reshape(V.lattice.shape), m_box, 0.7, 1.5, c, j) == want
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_FIXTURES))
@@ -547,11 +525,13 @@ def test_symmetric_gaussian_mc_maximum_is_tied(dim, n):
     # the fixture really exercises the witness tie-break
     V = _centred_gaussian(dim, n)
     value, witness = mc_norm_loop(V, 1.0, 1.5)
+    W = np.abs(V.values) ** 1.5
+    m = _offset_norms(dim, n // 2)
     tied = [
         (list(c), j)
         for c in np.ndindex(V.lattice.shape)
         for j in dyadic_radius_exponents(V.lattice)
-        if mc_ball_value(V, 1.0, 1.5, c, j) == value
+        if _mc_ball(V.lattice, W, m, 1.0, 1.5, c, j) == value
     ]
     assert len(tied) > 1
     assert tied[0] == (witness["center"], witness["radius_exponent"])
@@ -626,10 +606,12 @@ def test_ap_weight_validation():
 def test_ap_witness_reproduces_value():
     rng = np.random.default_rng(19)
     lat = Lattice(2, 8)
-    w = ScalarField(lat, rng.uniform(0.2, 4.0, size=(8, 8)).astype(complex))
-    value, witness = muckenhoupt_constant(w, 2.0, return_witness=True)
-    cube = DyadicCube(witness["level"], tuple(witness["corner"]), witness["side"])
-    assert ap_cube_value(w, 2.0, cube) == value
+    vals = rng.uniform(0.2, 4.0, size=(8, 8))
+    w = ScalarField(lat, vals.astype(complex))
+    got = muckenhoupt_constant(w, 2.0, return_witness=True)
+    # the first cube reaching the maximum, coarse to fine
+    cands = ap_candidates_brute(vals, 8, 2, 2.0)
+    assert got == next(c for c in cands if c[0] == max(v for v, _ in cands))
 
 
 def test_ap_witness_symmetric_weight_tie():
@@ -639,11 +621,11 @@ def test_ap_witness_symmetric_weight_tie():
     r2 = np.sum((np.indices((8, 8)) - 3.5) ** 2, axis=0)
     w = ScalarField(lat, (1.0 + r2).astype(complex))
     value, witness = muckenhoupt_constant(w, 2.0, return_witness=True)
-    cands = [(ap_cube_value(w, 2.0, cube), cube) for cube in dyadic_cubes(lat)]
+    cands = ap_candidates_brute(1.0 + r2, 8, 2, 2.0)
     tied = [cube for v, cube in cands if v == value]
     assert value == max(v for v, _ in cands)
     assert len(tied) > 1
-    assert witness == tied[0].to_dict()
+    assert witness == tied[0]
 
 
 # -- dispatcher --------------------------------------------------------------
