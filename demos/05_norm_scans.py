@@ -19,16 +19,18 @@ from lamespectra.potentials import gaussian_bump, inverse_power
 lat = Lattice(2, 16)
 V = gaussian_bump(lat, -8.0, 0.9)
 
-# every scan reports the winning ball or cube pair as a witness
-value, witness = morrey_campanato_norm(V, 1.0, 1.2, return_witness=True)
-print("Morrey-Campanato  ", value, witness)
+# every scan returns a NormResult: the value, the witness naming the winning
+# ball or cube, the parameters, and in .scan what the MC and KS scans
+# computed (the A_p scan leaves it empty)
+r = morrey_campanato_norm(V, 1.0, 1.2)
+print("Morrey-Campanato  ", r.value, r.witness, r.scan)
 
-value, witness = kerman_sayer_norm(V, 0.5, return_witness=True)
-print("Kerman-Sawyer     ", value, witness)
+r = kerman_sayer_norm(V, 0.5)
+print("Kerman-Sawyer     ", r.value, r.witness, r.scan)
 
 w = ScalarField(lat, np.abs(V.values) + 0.05)
-value, witness = muckenhoupt_constant(w, 2.0, return_witness=True)
-print("A_2 constant      ", value, witness)
+r = muckenhoupt_constant(w, 2.0)
+print("A_2 constant      ", r.value, r.witness)
 
 # a singular profile |x|^{-1} spreads mass across scales; compare how the
 # norms see it against the smooth bump with matching L^2 size
@@ -38,10 +40,11 @@ spike = type(spike).from_array(lat, scale * spike.values)
 for name, pot in (("bump ", V), ("spike", spike)):
     print(
         f"{name}: L2 {lp_norm(pot, 2.0):6.3f}  "
-        f"MC {morrey_campanato_norm(pot, 1.0, 1.2):6.3f}  "
-        f"KS {kerman_sayer_norm(pot, 0.5):6.3f}"
+        f"MC {morrey_campanato_norm(pot, 1.0, 1.2).value:6.3f}  "
+        f"KS {kerman_sayer_norm(pot, 0.5).value:6.3f}"
     )
 
-# the uniform interface used by the command line
+# the uniform interface used by the command line passes a scan's result
+# through
 result = norm_result("morrey_campanato", V, alpha=1.0, p=1.2)
 print("\nas a record:", result.to_dict())

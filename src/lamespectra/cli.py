@@ -8,7 +8,7 @@ byte-identical across reruns with the same config and seed; wall-clock
 metadata goes to ``*.meta.json`` sidecars.
 
 Exit codes: 0 success, 2 invalid config or output directory, 3 hypothesis
-violation, 4 budget exceeded.
+violation, 4 budget exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -211,6 +211,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_CONFIG if isinstance(exc, ConfigError)
                 else EXIT_HYPOTHESIS if isinstance(exc, HypothesisViolation) else EXIT_BUDGET)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

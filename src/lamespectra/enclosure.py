@@ -221,11 +221,12 @@ def bound_rhs(spec: BoundSpec, params: LameParams, V: Potential,
         return lp_norm(V, q) ** q
     if spec.theorem == "T_MC":
         return morrey_campanato_norm(V, spec.mc_alpha(dim), spec.p,
-                                     budget_bytes=budget_bytes) ** q
+                                     budget_bytes=budget_bytes).value ** q
     if spec.theorem == "T_KS":
         beta = spec.ks_beta(dim)
         Vb = Potential.from_array(V.lattice, np.abs(V.values) ** beta)
-        return kerman_sayer_norm(Vb, spec.ks_alpha(dim), budget_bytes=budget_bytes) ** (q / beta)
+        ks = kerman_sayer_norm(Vb, spec.ks_alpha(dim), budget_bytes=budget_bytes)
+        return ks.value ** (q / beta)
     if spec.theorem == "T_W":
         qw = spec.weighted_q(dim)
         return weighted_lq_norm(V, qw, spec.alpha) ** qw
@@ -236,7 +237,7 @@ def bound_rhs(spec: BoundSpec, params: LameParams, V: Potential,
 
 def _a2_constant(V: Potential) -> float:
     """A_2 constant of |V|, recorded beside every T_KS right-hand side."""
-    return float(muckenhoupt_constant(ScalarField(V.lattice, np.abs(V.values)), 2.0))
+    return muckenhoupt_constant(ScalarField(V.lattice, np.abs(V.values)), 2.0).value
 
 
 # -- reports ------------------------------------------------------------------

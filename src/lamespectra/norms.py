@@ -126,6 +126,15 @@ def _check_muckenhoupt(dim: int, p: float, eps_w: float = EPS_WEIGHT) -> None:
         raise ValueError(f"eps_w must be > 0, got {eps_w}")
 
 
+def _check_scan_budget(scan: str, lattice: Lattice, need: int, budget_bytes: int) -> None:
+    """Raise :class:`BudgetExceeded` when a scan's modelled peak ``need`` exceeds the budget."""
+    if need > budget_bytes:
+        raise BudgetExceeded(
+            f"{scan} scan over N = {lattice.npoints} cells needs {_format_bytes(need)}, "
+            f"budget is {_format_bytes(budget_bytes)}"
+        )
+
+
 # -- plain and weighted Lebesgue norms ---------------------------------------
 
 
@@ -221,9 +230,7 @@ def _mc_bytes(lattice: Lattice) -> int:
 
 
 def morrey_campanato_norm(V: Potential, alpha: float, p: float,
-                          return_witness: bool = False,
-                          budget_bytes: int = DEFAULT_BUDGET_BYTES,
-                          counts: dict | None = None):
+                          budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
     """Discrete Morrey-Campanato norm over grid centers and dyadic radii.
 
     sup over centers x and radii r in {h, 2h, ..., L/2} of
@@ -237,21 +244,15 @@ def morrey_campanato_norm(V: Potential, alpha: float, p: float,
     by :func:`_mc_ball`, center-major then radius order, so value
     and witness are those of the exhaustive scan.  Raises
     :class:`BudgetExceeded`, before any work, when the modelled peak
-    (:func:`_mc_bytes`) would not fit ``budget_bytes``.  A ``counts`` dict,
-    if given, receives ``slab_adds`` (whole-grid adds of the screen) and
+    (:func:`_mc_bytes`) would not fit ``budget_bytes``.  The result's
+    ``scan`` holds ``slab_adds`` (whole-grid adds of the screen) and
     ``candidates_reevaluated``.
     """
     lat = V.lattice
     d = lat.dim
     _check_morrey_campanato(d, alpha, p)
-    need = _mc_bytes(lat)
-    if need > budget_bytes:
-        raise BudgetExceeded(
-            f"Morrey-Campanato scan over N = {lat.npoints} cells needs {_format_bytes(need)}, "
-            f"budget is {_format_bytes(budget_bytes)}"
-        )
-    if counts is None:
-        counts = {}
+    _check_scan_budget("Morrey-Campanato", lat, _mc_bytes(lat), budget_bytes)
+    counts = {}
     h = lat.spacing
     n = lat.n
     exponents = dyadic_radius_exponents(lat)
@@ -290,9 +291,7 @@ def morrey_campanato_norm(V: Potential, alpha: float, p: float,
                     best = cand
                     best_witness = {"center": center, "radius_exponent": j}
             counts["candidates_reevaluated"] += len(at)
-    if return_witness:
-        return best, best_witness
-    return best
+    return NormResult("morrey_campanato", {"alpha": alpha, "p": p}, best, best_witness, counts)
 
 
 # -- dyadic levels -----------------------------------------------------------
@@ -505,29 +504,20 @@ def _ks_bytes(lattice: Lattice) -> int:
 
 
 def kerman_sayer_norm(V: Potential, alpha: float, eps_mass: float = EPS_MASS,
-                      return_witness: bool = False,
-                      budget_bytes: int = DEFAULT_BUDGET_BYTES,
-                      counts: dict | None = None):
+                      budget_bytes: int = DEFAULT_BUDGET_BYTES) -> NormResult:
     """Discrete Kerman-Sayer norm over the dyadic cube family.
 
     Cubes with quadrature mass <= eps_mass are skipped; single-cell cubes
     contribute zero because the diagonal is excluded.  Raises
     :class:`BudgetExceeded`, before any work, when the scan's chunk memory
-    would not fit ``budget_bytes``.  A ``counts`` dict, if given, receives
+    would not fit ``budget_bytes``.  The result's ``scan`` holds
     ``products_formed`` and ``products_skipped_zero`` over the cubes scanned.
     """
     lat = V.lattice
     d = lat.dim
     _check_kerman_sayer(d, alpha, eps_mass)
-    need = _ks_bytes(lat)
-    if need > budget_bytes:
-        raise BudgetExceeded(
-            f"Kerman-Sayer scan over N = {lat.npoints} cells needs {_format_bytes(need)}, "
-            f"budget is {_format_bytes(budget_bytes)}"
-        )
-    if counts is None:
-        counts = {}
-    counts.update(products_formed=0, products_skipped_zero=0)
+    _check_scan_budget("Kerman-Sayer", lat, _ks_bytes(lat), budget_bytes)
+    counts = {"products_formed": 0, "products_skipped_zero": 0}
     h = lat.spacing
     absV = np.abs(V.values)
     best = 0.0
@@ -544,16 +534,14 @@ def kerman_sayer_norm(V: Potential, alpha: float, eps_mass: float = EPS_MASS,
         if i is not None:
             best = float(cand[i])
             best_witness = _cube_witness(level, side, int(kept[i]), d)
-    if return_witness:
-        return best, best_witness
-    return best
+    return NormResult("kerman_sayer", {"alpha": alpha, "eps_mass": eps_mass}, best, best_witness,
+                      counts)
 
 
 # -- Muckenhoupt -------------------------------------------------------------
 
 
-def muckenhoupt_constant(w: ScalarField, p: float, eps_w: float = EPS_WEIGHT,
-                         return_witness: bool = False):
+def muckenhoupt_constant(w: ScalarField, p: float, eps_w: float = EPS_WEIGHT) -> NormResult:
     """A_p characteristic over the dyadic cube family.
 
     Zero cells are floored at eps_w > 0 (reported through a warning); p <= 1
@@ -585,9 +573,7 @@ def muckenhoupt_constant(w: ScalarField, p: float, eps_w: float = EPS_WEIGHT,
         if i is not None:
             best = float(cand[i])
             best_witness = _cube_witness(level, side, i, values.ndim)
-    if return_witness:
-        return best, best_witness
-    return best
+    return NormResult("muckenhoupt", {"p": p, "eps_w": eps_w}, best, best_witness)
 
 
 # -- reporting ---------------------------------------------------------------
@@ -637,32 +623,23 @@ def norm_result(name: str, V: Potential, budget_bytes: int = DEFAULT_BUDGET_BYTE
                 **params) -> NormResult:
     """Compute a named norm with its witness, packaged for serialization.
 
-    ``params`` are checked by :func:`check_norm`.  ``budget_bytes`` bounds
-    the memory of the Morrey-Campanato and Kerman-Sayer scans, whose counts
-    go to ``NormResult.scan``.
+    ``params`` are checked by :func:`check_norm`.  The scans return their own
+    result; ``budget_bytes`` bounds the Morrey-Campanato and Kerman-Sayer
+    scans.  The A_p constant is that of the weight |V|.
     """
     params = check_norm(name, V.lattice.dim, params)
-    counts = {}
+    if name == "morrey_campanato":
+        return morrey_campanato_norm(V, budget_bytes=budget_bytes, **params)
+    if name == "kerman_sayer":
+        return kerman_sayer_norm(V, budget_bytes=budget_bytes, **params)
+    if name == "muckenhoupt":
+        return muckenhoupt_constant(ScalarField(V.lattice, np.abs(V.values)), **params)
     if name == "lp":
-        value = lp_norm(V, params["p"])
-        flat = int(np.argmax(np.abs(V.values)))
-        witness = {"argmax_index": [int(i) for i in np.unravel_index(flat, V.lattice.shape)]}
-    elif name == "weighted_lq":
-        q, alpha = params["q"], params["alpha"]
-        value = weighted_lq_norm(V, q, alpha)
-        w = polynomial_weight(V.lattice, alpha)
-        flat = int(np.argmax(np.abs(V.values) ** q * w))
-        witness = {"argmax_index": [int(i) for i in np.unravel_index(flat, V.lattice.shape)]}
-    elif name == "morrey_campanato":
-        value, witness = morrey_campanato_norm(V, params["alpha"], params["p"],
-                                               return_witness=True, budget_bytes=budget_bytes,
-                                               counts=counts)
-    elif name == "kerman_sayer":
-        value, witness = kerman_sayer_norm(V, params["alpha"], eps_mass=params["eps_mass"],
-                                           return_witness=True, budget_bytes=budget_bytes,
-                                           counts=counts)
+        value = lp_norm(V, **params)
+        weights = np.abs(V.values)
     else:
-        w = ScalarField(V.lattice, np.abs(V.values))
-        value, witness = muckenhoupt_constant(w, params["p"], eps_w=params["eps_w"],
-                                              return_witness=True)
-    return NormResult(name, params, value, witness, counts)
+        value = weighted_lq_norm(V, **params)
+        weights = np.abs(V.values) ** params["q"] * polynomial_weight(V.lattice, params["alpha"])
+    flat = int(np.argmax(weights))
+    witness = {"argmax_index": [int(i) for i in np.unravel_index(flat, V.lattice.shape)]}
+    return NormResult(name, params, value, witness)

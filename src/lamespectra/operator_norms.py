@@ -25,10 +25,6 @@ class ConvergenceError(RuntimeError):
         self.bracket = bracket
 
 
-def _rescale(field, c: float):
-    return _adopt(type(field), field.lattice, field.values * c)
-
-
 def singular_norm(apply_op, apply_adjoint, start, tol: float = 1e-10,
                   max_iter: int = 5000) -> float:
     """Largest singular value of K via power iteration on K*K.
@@ -52,7 +48,7 @@ def singular_norm(apply_op, apply_adjoint, start, tol: float = 1e-10,
     nv = l2_norm(v)
     if nv == 0.0:
         raise ValueError("starting iterate is zero")
-    v = _rescale(v, 1.0 / nv)
+    v = v * (1.0 / nv)
     sigma_prev = 0.0
     sigma = 0.0
     for it in range(1, max_iter + 1):
@@ -64,7 +60,7 @@ def singular_norm(apply_op, apply_adjoint, start, tol: float = 1e-10,
         nw = l2_norm(w)
         if nw == 0.0:
             return sigma_new
-        v = _rescale(w, 1.0 / nw)
+        v = w * (1.0 / nw)
         sigma_prev, sigma = sigma, sigma_new
         if it >= _MIN_ITER and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
             return sigma
@@ -98,7 +94,7 @@ def lp_operator_norm(apply_op, apply_adjoint, start, p: float, q: float,
     nx = scalar_lp_norm(x, p)
     if nx == 0.0:
         raise ValueError("starting iterate is zero")
-    x = _rescale(x, 1.0 / nx)
+    x = x * (1.0 / nx)
     best = 0.0
     for _ in range(n_iter):
         y = apply_op(x)
@@ -111,7 +107,7 @@ def lp_operator_norm(apply_op, apply_adjoint, start, p: float, q: float,
         nx = scalar_lp_norm(x_new, p)
         if nx == 0.0:
             break
-        x_new = _rescale(x_new, 1.0 / nx)
+        x_new = x_new * (1.0 / nx)
         if scalar_lp_norm(x_new - x, p) <= tol:
             x = x_new
             best = max(best, scalar_lp_norm(apply_op(x), q))

@@ -66,10 +66,11 @@ def vector_to_csv(field: VectorField, path) -> None:
 def _read_samples(path, header, shape) -> np.ndarray:
     """Complex samples of ``shape`` from CSV rows under ``header``.
 
-    The leading ``len(shape)`` columns of a row index the sample, the last
-    two hold its real and imaginary parts.  Every sample must appear exactly
-    once: an index outside ``shape``, a repeated one or a missing one raises
-    ValueError naming the line.
+    Every row has ``len(header)`` cells: the leading ``len(shape)`` index the
+    sample, the last two hold its real and imaginary parts.  Every sample
+    must appear exactly once: a row with another number of cells, an index
+    outside ``shape``, a repeated one or a missing one raises ValueError
+    naming the line.
     """
     k = len(shape)
     values = np.zeros(shape, dtype=np.complex128)
@@ -80,6 +81,9 @@ def _read_samples(path, header, shape) -> np.ndarray:
         if got != header:
             raise ValueError(f"unexpected CSV header {got!r}; want {header!r}")
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"CSV line {reader.line_num}: expected {len(header)} cells, "
+                                 f"got {len(row)}")
             at = tuple(map(int, row[:k]))
             if not all(0 <= i < size for i, size in zip(at, shape)) or seen[at]:
                 raise ValueError(f"CSV line {reader.line_num}: {_bad_index(header, at, shape)}")

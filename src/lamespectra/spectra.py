@@ -237,7 +237,7 @@ def _ray_reach(params: LameParams, V: Potential) -> float:
     return float(distance_to_ray(V.values).max()) + margin
 
 
-def _package(params, V, lattice, pairs, tau_filter, tau_res, info, unsolved=0) -> SpectralResult:
+def _package(params, V, pairs, tau_filter, tau_res, info, unsolved=0) -> SpectralResult:
     """Filter (z, u) pairs; ``unsolved`` uncomputed eigenvalues count as rejected by distance."""
     kept = []
     by_distance, by_residual = unsolved, 0
@@ -259,9 +259,9 @@ def _package(params, V, lattice, pairs, tau_filter, tau_res, info, unsolved=0) -
         {
             "tau_filter": tau_filter,
             "tau_res": tau_res,
-            "dim": lattice.dim,
-            "n": lattice.n,
-            "period": lattice.period,
+            "dim": V.lattice.dim,
+            "n": V.lattice.n,
+            "period": V.lattice.period,
             "rejected_by_distance": by_distance,
             "rejected_by_residual": by_residual,
         }
@@ -327,7 +327,7 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
     _check_budget(order, budget_bytes, lat.dim)
     info = {"method": "dense", "matrix_order": order}
     if tau_filter >= _ray_reach(params, V):
-        result = _package(params, V, lat, (), tau_filter, tau_res, info, unsolved=order)
+        result = _package(params, V, (), tau_filter, tau_res, info, unsolved=order)
         return replace(result, eigensolve={
             "eigenvector_route": "numerical_range", "lu_solves": 0, "eigensolve_seconds": 0.0})
     A = dense_operator_matrix(params, V, budget_bytes=budget_bytes)
@@ -352,7 +352,7 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
         pairs = ((z, vectors.get(i)) for i, z in enumerate(w))
         route, lu_solves = "inverse_iteration", len(vectors)
     seconds = time.perf_counter() - start_time
-    result = _package(params, V, lat, pairs, tau_filter, tau_res, info)
+    result = _package(params, V, pairs, tau_filter, tau_res, info)
     return replace(result, eigensolve={
         "eigenvector_route": route, "lu_solves": lu_solves, "eigensolve_seconds": seconds})
 

@@ -274,4 +274,4 @@ def eigenvalues_by_full_eig(params, V, tau_filter=None, tau_res=None):
     w, vecs = np.linalg.eig(A)
     pairs = ((w[i], spectra._vector_from_flat(lat, vecs[:, i])) for i in range(len(w)))
     info = {"method": "dense", "matrix_order": A.shape[0]}
-    return spectra._package(params, V, lat, pairs, tau_filter, tau_res, info)
+    return spectra._package(params, V, pairs, tau_filter, tau_res, info)

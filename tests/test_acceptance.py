@@ -307,15 +307,15 @@ def test_criterion_08_norm_scans_match_brute_force():
         w = ScalarField(lat, w_vals)
         for alpha, p in ((0.5, 1.0), (0.8, 1.2)):
             mc_exact = mc_exact and (
-                morrey_campanato_norm(V, alpha, p) == mc_norm_brute(V, alpha, p)
+                morrey_campanato_norm(V, alpha, p).value == mc_norm_brute(V, alpha, p)
             )
         for alpha in (0.5, 0.75 * dim):
-            lib = kerman_sayer_norm(V, alpha)
+            lib = kerman_sayer_norm(V, alpha).value
             brute = ks_norm_brute(V, alpha)
             ks_worst = max(ks_worst, abs(lib - brute) / brute)
         for p in (1.5, 2.0, 3.0):
             ap_exact = ap_exact and (
-                muckenhoupt_constant(w, p) == ap_constant_brute(w_vals, n, dim, p)
+                muckenhoupt_constant(w, p).value == ap_constant_brute(w_vals, n, dim, p)
             )
 
     # grid-uniform embedding M_{alpha,p} <= c_grid ||V||_{d/alpha}
@@ -328,7 +328,7 @@ def test_criterion_08_norm_scans_match_brute_force():
         for fam, seed in (("gaussian", 3), ("well", 5), ("inverse_power", 9)):
             members.extend(random_ensemble(lat, fam, 2, seed=seed))
         for V in members:
-            mc = morrey_campanato_norm(V, alpha, p)
+            mc = morrey_campanato_norm(V, alpha, p).value
             cap = c_grid * lp_norm(V, lat.dim / alpha)
             worst_util = max(worst_util, mc / cap)
             embed_ok = embed_ok and mc <= cap * (1.0 + 1e-12)

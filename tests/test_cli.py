@@ -499,8 +499,8 @@ def test_norm_windows_are_checked_before_any_scan(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("row", ["0,-1.0,0.0", "-1,-1.0,0.0", "8,-1.0,0.0"],
-                         ids=["repeated", "negative", "out-of-range"])
+@pytest.mark.parametrize("row", ["0,-1.0,0.0", "-1,-1.0,0.0", "8,-1.0,0.0", "6,-1.0,0.0,0.0"],
+                         ids=["repeated", "negative", "out-of-range", "extra-cell"])
 def test_csv_potential_bad_index_exit_code(tmp_path, capsys, row):
     lines = EIGHT_SAMPLES.read_text().splitlines()
     path = tmp_path / "V.csv"
@@ -518,6 +518,20 @@ def test_output_under_a_file_exit_code(tmp_path, capsys):
     assert main(["decompose", "-c", cfg, "-o", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and out in err
+
+
+def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
+    # a failed allocation (numpy raises MemoryError) exits 4 with a message;
+    # a real one is not made here, since an overcommitting host kills the
+    # process instead of raising
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 24.0 TiB for an array")
+
+    monkeypatch.setattr("lamespectra.cli.helmholtz_decompose", refuse)
+    cfg = _write(tmp_path, "lattice: {dim: 1, points: 16}\n")
+    assert main(["decompose", "-c", cfg, "-o", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 24.0 TiB for an array\n"
 
 
 def _demo_08_config() -> dict:

@@ -172,7 +172,7 @@ def test_tks_rhs_uses_beta_power():
     spec = BoundSpec("T_KS", 0.4)
     beta = spec.ks_beta(2)
     Vb = Potential.from_array(V.lattice, np.abs(V.values) ** beta)
-    expected = kerman_sayer_norm(Vb, spec.ks_alpha(2)) ** (spec.sobolev_exponent(2) / beta)
+    expected = kerman_sayer_norm(Vb, spec.ks_alpha(2)).value ** (spec.sobolev_exponent(2) / beta)
     assert bound_rhs(spec, PARAMS, V) == expected
 
 

@@ -51,6 +51,11 @@ def _random_potential(dim, n, seed, period=2.0):
     return Potential.from_array(lat, vals)
 
 
+def _found(r):
+    """(value, witness) of a scan's result, the pair the oracles return."""
+    return r.value, r.witness
+
+
 # -- dyadic machinery --------------------------------------------------------
 
 
@@ -111,12 +116,12 @@ def test_polynomial_weight_floor_and_symmetry():
 @pytest.mark.parametrize("alpha,p", [(0.5, 1.0), (0.8, 1.2)])
 def test_mc_norm_matches_brute_exactly(dim, n, alpha, p):
     V = _random_potential(dim, n, seed=100 * dim + n)
-    assert morrey_campanato_norm(V, alpha, p) == mc_norm_brute(V, alpha, p)
+    assert morrey_campanato_norm(V, alpha, p).value == mc_norm_brute(V, alpha, p)
 
 
 def test_mc_witness_reproduces_value():
     V = _random_potential(2, 8, 13)
-    assert morrey_campanato_norm(V, 0.7, 1.0, return_witness=True) == mc_norm_loop(V, 0.7, 1.0)
+    assert _found(morrey_campanato_norm(V, 0.7, 1.0)) == mc_norm_loop(V, 0.7, 1.0)
 
 
 def test_mc_validation():
@@ -162,13 +167,11 @@ def test_mc_scan_reports_screen_counts():
     # radii add 3 + 5 + 9 + 17 + 33 + 65 rows; one shifted add per offset of
     # the largest ball would take 3209
     V = gaussian_bump(Lattice(2, 64), -4.0, 0.4)
-    counts = {}
-    value = morrey_campanato_norm(V, 1.0, 1.5, counts=counts)
-    assert value == morrey_campanato_norm(V, 1.0, 1.5)
-    assert counts["slab_adds"] == 64 + 132
-    assert counts["candidates_reevaluated"] >= 1
-    r = norm_result("morrey_campanato", V, alpha=1.0, p=1.5)
-    assert r.scan == counts
+    r = morrey_campanato_norm(V, 1.0, 1.5)
+    assert r == morrey_campanato_norm(V, 1.0, 1.5)
+    assert r.scan["slab_adds"] == 64 + 132
+    assert r.scan["candidates_reevaluated"] >= 1
+    assert norm_result("morrey_campanato", V, alpha=1.0, p=1.5) == r
     assert "scan" not in r.to_dict()
     with pytest.raises(BudgetExceeded):
         norm_result("morrey_campanato", V, budget_bytes=1000, alpha=1.0, p=1.5)
@@ -208,6 +211,12 @@ def test_check_norm_fills_defaults_and_matches_the_scans():
     for eps_mass in (-1.0, np.nan):
         with pytest.raises(ValueError, match="eps_mass must be finite and >= 0"):
             kerman_sayer_norm(V, 1.0, eps_mass=eps_mass)
+    # and each scan's result carries the parameters check_norm fills in
+    assert kerman_sayer_norm(V, 1.0).params == check_norm("kerman_sayer", 2, {"alpha": 1.0})
+    mc = check_norm("morrey_campanato", 2, {"alpha": 0.5, "p": 1.0})
+    assert morrey_campanato_norm(V, 0.5, 1.0).params == mc
+    w = ScalarField(V.lattice, np.abs(V.values))
+    assert muckenhoupt_constant(w, 2.0).params == check_norm("muckenhoupt", 2, {"p": 2.0})
 
 
 # -- Kerman-Sayer ------------------------------------------------------------
@@ -221,7 +230,7 @@ def test_ks_norm_matches_brute(dim, n, alpha):
     # scalar.  Those libm paths may differ in the last ulp, so the
     # comparison allows rounding noise but nothing more.
     V = _random_potential(dim, n, seed=200 * dim + n)
-    assert kerman_sayer_norm(V, alpha) == pytest.approx(
+    assert kerman_sayer_norm(V, alpha).value == pytest.approx(
         ks_norm_brute(V, alpha), rel=1e-13, abs=0.0
     )
 
@@ -235,7 +244,7 @@ def test_ks_two_cell_hand_value():
     vals[2] = 1.0
     V = Potential.from_array(lat, vals)
     expected = 2.0 * 3.0 * 1.0 * 2.0 ** (0.5 - 1.0) / 4.0
-    assert abs(kerman_sayer_norm(V, 0.5) - expected) < 1e-15
+    assert abs(kerman_sayer_norm(V, 0.5).value - expected) < 1e-15
 
 
 def test_ks_single_cell_is_zero():
@@ -243,24 +252,24 @@ def test_ks_single_cell_is_zero():
     vals = np.zeros((4, 4))
     vals[1, 2] = 5.0
     V = Potential.from_array(lat, vals)
-    assert kerman_sayer_norm(V, 0.5) == 0.0
+    assert kerman_sayer_norm(V, 0.5).value == 0.0
 
 
 def test_ks_eps_mass_skips_light_cubes():
     V = _random_potential(1, 8, 15)
     huge = 10.0 * lp_norm(V, 1.0)
-    assert kerman_sayer_norm(V, 0.5, eps_mass=huge) == 0.0
+    assert kerman_sayer_norm(V, 0.5, eps_mass=huge).value == 0.0
 
 
 def test_ks_witness_reproduces_value():
     V = _random_potential(2, 8, 16)
-    assert kerman_sayer_norm(V, 0.8, return_witness=True) == ks_norm_dense(V, 0.8)
+    assert _found(kerman_sayer_norm(V, 0.8)) == ks_norm_dense(V, 0.8)
     # a cluster in the third level-1 cube wins, after a zero-mass cube is skipped
     vals = np.zeros((8, 8))
     vals[4:6, 2:4] = 5.0
     vals[0, 7] = 3.0
     V = Potential.from_array(Lattice(2, 8), vals)
-    value, witness = kerman_sayer_norm(V, 0.8, return_witness=True)
+    value, witness = _found(kerman_sayer_norm(V, 0.8))
     assert witness == {"level": 1, "corner": [4, 0], "side": 4}
     assert (value, witness) == ks_norm_dense(V, 0.8)
 
@@ -408,12 +417,10 @@ def test_ks_nonfinite_weight_computes_every_product():
 def test_ks_norm_reports_product_counts():
     lat = Lattice(2, 64)
     V = gaussian_bump(lat, -4.0, 0.4)
-    counts = {}
-    value = kerman_sayer_norm(V, 0.5, counts=counts)
-    assert value == kerman_sayer_norm(V, 0.5)
-    assert counts["products_skipped_zero"] > counts["products_formed"] > 0
-    r = norm_result("kerman_sayer", V, alpha=0.5)
-    assert r.scan == counts
+    r = kerman_sayer_norm(V, 0.5)
+    assert r == kerman_sayer_norm(V, 0.5)
+    assert r.scan["products_skipped_zero"] > r.scan["products_formed"] > 0
+    assert norm_result("kerman_sayer", V, alpha=0.5) == r
     assert "scan" not in r.to_dict()
 
 
@@ -456,14 +463,14 @@ def test_mc_scan_matches_loop_oracle(name):
     V = SCAN_FIXTURES[name]()
     d = V.lattice.dim
     for alpha, p in [(1.0, 1.5), (0.5, 1.0), (d / 1.5, 1.5), (d, 1.0)]:
-        assert morrey_campanato_norm(V, alpha, p, return_witness=True) == mc_norm_loop(V, alpha, p)
+        assert _found(morrey_campanato_norm(V, alpha, p)) == mc_norm_loop(V, alpha, p)
 
 
 def test_mc_scan_matches_loop_oracle_on_small_well():
     # at alpha = dim/p every ball holding the 2x2 well ties exactly, so
     # about 4000 of the 24576 candidates are re-evaluated from their boxes
     V = _square_well(2, 64, 1, depth=-5.0)
-    assert morrey_campanato_norm(V, 1.0, 2.0, return_witness=True) == mc_norm_loop(V, 1.0, 2.0)
+    assert _found(morrey_campanato_norm(V, 1.0, 2.0)) == mc_norm_loop(V, 1.0, 2.0)
 
 
 def _mirror_wells(dim, n):
@@ -493,7 +500,7 @@ def test_mc_screen_on_degenerate_potentials(name, dim, n):
     V = DEGENERATE[name](dim, n)
     for p in (1.0, 1.5, 2.0):
         for alpha in (dim / p, dim / (2 * p)):
-            got = morrey_campanato_norm(V, alpha, p, return_witness=True)
+            got = _found(morrey_campanato_norm(V, alpha, p))
             assert got == mc_norm_loop(V, alpha, p), (p, alpha)
 
 
@@ -517,7 +524,7 @@ def test_mc_ball_value_matches_whole_grid_mask(dim, n):
 def test_ks_scan_matches_dense_oracle(name):
     V = SCAN_FIXTURES[name]()
     for alpha in (0.5, 1.0):
-        assert kerman_sayer_norm(V, alpha, return_witness=True) == ks_norm_dense(V, alpha)
+        assert _found(kerman_sayer_norm(V, alpha)) == ks_norm_dense(V, alpha)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
@@ -564,14 +571,14 @@ def test_ap_constant_weight_is_one():
     # Dyadic constants have exact reciprocals, so the product is exactly 1;
     # other constants are off by at most the rounding of 1/w.
     w = ScalarField(Lattice(2, 8), np.full((8, 8), 2.0, dtype=complex))
-    assert muckenhoupt_constant(w, 2.0) == 1.0
+    assert muckenhoupt_constant(w, 2.0).value == 1.0
     w = ScalarField(Lattice(2, 8), np.full((8, 8), 3.7, dtype=complex))
-    assert abs(muckenhoupt_constant(w, 2.0) - 1.0) < 1e-15
+    assert abs(muckenhoupt_constant(w, 2.0).value - 1.0) < 1e-15
 
 
 def test_ap_step_weight_exact_value():
     w = ScalarField(Lattice(1, 4), np.array([1.0, 1.0, 4.0, 4.0], dtype=complex))
-    assert muckenhoupt_constant(w, 2.0) == 25.0 / 16.0
+    assert muckenhoupt_constant(w, 2.0).value == 25.0 / 16.0
 
 
 @pytest.mark.parametrize("dim,n", [(1, 8), (2, 4)])
@@ -581,14 +588,14 @@ def test_ap_matches_brute_exactly(dim, n, p):
     lat = Lattice(dim, n)
     vals = rng.uniform(0.1, 5.0, size=lat.shape)
     w = ScalarField(lat, vals.astype(complex))
-    assert muckenhoupt_constant(w, p) == ap_constant_brute(vals, n, dim, p)
+    assert muckenhoupt_constant(w, p).value == ap_constant_brute(vals, n, dim, p)
 
 
 def test_ap_zero_cells_warn_and_floor():
     vals = np.array([1.0, 0.0, 2.0, 1.0], dtype=complex)
     w = ScalarField(Lattice(1, 4), vals)
     with pytest.warns(UserWarning, match="floor"):
-        c = muckenhoupt_constant(w, 2.0)
+        c = muckenhoupt_constant(w, 2.0).value
     assert np.isfinite(c)
     assert c > 1.0
 
@@ -608,7 +615,7 @@ def test_ap_witness_reproduces_value():
     lat = Lattice(2, 8)
     vals = rng.uniform(0.2, 4.0, size=(8, 8))
     w = ScalarField(lat, vals.astype(complex))
-    got = muckenhoupt_constant(w, 2.0, return_witness=True)
+    got = _found(muckenhoupt_constant(w, 2.0))
     # the first cube reaching the maximum, coarse to fine
     cands = ap_candidates_brute(vals, 8, 2, 2.0)
     assert got == next(c for c in cands if c[0] == max(v for v, _ in cands))
@@ -620,7 +627,7 @@ def test_ap_witness_symmetric_weight_tie():
     lat = Lattice(2, 8)
     r2 = np.sum((np.indices((8, 8)) - 3.5) ** 2, axis=0)
     w = ScalarField(lat, (1.0 + r2).astype(complex))
-    value, witness = muckenhoupt_constant(w, 2.0, return_witness=True)
+    value, witness = _found(muckenhoupt_constant(w, 2.0))
     cands = ap_candidates_brute(1.0 + r2, 8, 2, 2.0)
     tied = [cube for v, cube in cands if v == value]
     assert value == max(v for v, _ in cands)
@@ -642,15 +649,15 @@ def test_norm_result_dispatch():
     assert r.value == weighted_lq_norm(V, 2.0, 1.0)
 
     r = norm_result("morrey_campanato", V, alpha=0.5, p=1.0)
-    assert r.value == morrey_campanato_norm(V, 0.5, 1.0)
+    assert r == morrey_campanato_norm(V, 0.5, 1.0)
     assert set(r.witness) == {"center", "radius_exponent"}
 
     r = norm_result("kerman_sayer", V, alpha=0.5)
-    assert r.value == kerman_sayer_norm(V, 0.5)
+    assert r == kerman_sayer_norm(V, 0.5)
 
     r = norm_result("muckenhoupt", V, p=2.0)
     w = ScalarField(V.lattice, np.abs(V.values))
-    assert r.value == muckenhoupt_constant(w, 2.0)
+    assert r == muckenhoupt_constant(w, 2.0)
 
     d = r.to_dict()
     assert d["norm_name"] == "muckenhoupt"
@@ -675,11 +682,11 @@ def test_norm_homogeneity(c, seed):
     V = _random_potential(1, 8, seed)
     W = Potential.from_array(V.lattice, c * V.values)
     assert abs(lp_norm(W, 2.0) - c * lp_norm(V, 2.0)) < 1e-10 * max(1.0, c)
-    mc_v = morrey_campanato_norm(V, 0.5, 1.0)
-    mc_w = morrey_campanato_norm(W, 0.5, 1.0)
+    mc_v = morrey_campanato_norm(V, 0.5, 1.0).value
+    mc_w = morrey_campanato_norm(W, 0.5, 1.0).value
     assert abs(mc_w - c * mc_v) < 1e-10 * max(1.0, c)
-    ks_v = kerman_sayer_norm(V, 0.5)
-    ks_w = kerman_sayer_norm(W, 0.5)
+    ks_v = kerman_sayer_norm(V, 0.5).value
+    ks_w = kerman_sayer_norm(W, 0.5).value
     assert abs(ks_w - c * ks_v) < 1e-10 * max(1.0, c)
 
 
@@ -689,6 +696,6 @@ def test_ap_scale_invariance(c, seed):
     rng = np.random.default_rng(seed)
     lat = Lattice(1, 8)
     vals = rng.uniform(0.1, 3.0, size=8)
-    a = muckenhoupt_constant(ScalarField(lat, vals.astype(complex)), 2.0)
-    b = muckenhoupt_constant(ScalarField(lat, (c * vals).astype(complex)), 2.0)
+    a = muckenhoupt_constant(ScalarField(lat, vals.astype(complex)), 2.0).value
+    b = muckenhoupt_constant(ScalarField(lat, (c * vals).astype(complex)), 2.0).value
     assert abs(a - b) < 1e-10 * a

@@ -108,9 +108,14 @@ def test_csv_count_rejected(tmp_path):
      "CSV line 4: repeats the sample at index 1"),
     (["0,1.0,0.0", "1,2.0,0.0", "-1,5.0,0.0", "2,4.0,0.0"], "CSV line 4: index -1 outside 0..3"),
     (["0,1.0,0.0", "1,2.0,0.0", "2,3.0,0.0", "4,4.0,0.0"], "CSV line 5: index 4 outside 0..3"),
-], ids=["repeated", "negative", "out-of-range"])
+    (["0,1.0,2.0,5.0", "1,2.0,0.0", "2,3.0,0.0", "3,4.0,0.0"],
+     "CSV line 2: expected 3 cells, got 4"),
+    (["0,1.0,0.0", "1,2.0", "2,3.0,0.0", "3,4.0,0.0"], "CSV line 3: expected 3 cells, got 2"),
+    (["0,1.0,0.0", "1,2.0,0.0", "2,3.0,0.0", "3,4.0,0.0", ""],
+     "CSV line 6: expected 3 cells, got 0"),
+], ids=["repeated", "negative", "out-of-range", "extra-cell", "short-row", "blank-line"])
 def test_csv_bad_index_rejected(tmp_path, rows, message):
-    # each file has four rows for four samples, so counting rows passes
+    # each file has a row for each of the four samples, so counting rows passes
     path = tmp_path / "bad.csv"
     path.write_text("\r\n".join(["index,re,im"] + rows) + "\r\n")
     with pytest.raises(ValueError, match=message):
@@ -123,8 +128,11 @@ def test_csv_bad_index_rejected(tmp_path, rows, message):
     ("2,2,9.0,0.0", "CSV line 4: component 2 outside 0..1"),
     ("0,-4,9.0,0.0", "CSV line 4: index -4 outside 0..15"),
     ("0,16,9.0,0.0", "CSV line 4: index 16 outside 0..15"),
+    ("0,2,9.0,0.0,1.0", "CSV line 4: expected 4 cells, got 5"),
+    ("0,2,9.0", "CSV line 4: expected 4 cells, got 3"),
+    ("", "CSV line 4: expected 4 cells, got 0"),
 ], ids=["repeated", "negative-component", "component-out-of-range", "negative-index",
-        "index-out-of-range"])
+        "index-out-of-range", "extra-cell", "short-row", "blank-line"])
 def test_vector_csv_bad_index_rejected(tmp_path, row, message):
     # the row replaces the sample (0, 2) on line 4, so the row count is right
     path = tmp_path / "v.csv"

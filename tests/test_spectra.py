@@ -296,7 +296,7 @@ def test_package_rejects_nan_residual():
     V, _ = _well_fixture(32)
     lat = V.lattice
     bad = VectorField(lat, np.full((1,) + lat.shape, np.nan, dtype=complex))
-    res = _package(WELL_PARAMS, V, lat, [(-2.0 + 0.0j, bad)], 0.5, 1e-6, {"method": "test"})
+    res = _package(WELL_PARAMS, V, [(-2.0 + 0.0j, bad)], 0.5, 1e-6, {"method": "test"})
     assert len(res) == 0
     assert res.solver_info["rejected_by_residual"] == 1
     assert res.solver_info["rejected_by_distance"] == 0
