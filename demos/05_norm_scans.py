@@ -6,6 +6,7 @@ Scanning potentials with Morrey-Campanato, Kerman-Sawyer and A_p norms
 
 import numpy as np
 
+from lamespectra import trace
 from lamespectra.lattice import Lattice, ScalarField
 from lamespectra.norms import (
     kerman_sayer_norm,
@@ -20,13 +21,15 @@ lat = Lattice(2, 16)
 V = gaussian_bump(lat, -8.0, 0.9)
 
 # every scan returns a NormResult: the value, the witness naming the winning
-# ball or cube, the parameters, and in .scan what the MC and KS scans
-# computed (the A_p scan leaves it empty)
-r = morrey_campanato_norm(V, 1.0, 1.2)
-print("Morrey-Campanato  ", r.value, r.witness, r.scan)
-
-r = kerman_sayer_norm(V, 0.5)
-print("Kerman-Sawyer     ", r.value, r.witness, r.scan)
+# ball or cube, and the parameters; inside a trace record each scan also logs
+# its seconds and what it computed
+with trace.record() as stages:
+    r = morrey_campanato_norm(V, 1.0, 1.2)
+    print("Morrey-Campanato  ", r.value, r.witness)
+    r = kerman_sayer_norm(V, 0.5)
+    print("Kerman-Sawyer     ", r.value, r.witness)
+for s in stages:
+    print("  trace:", {k: v for k, v in s.items() if k != "seconds"})
 
 w = ScalarField(lat, np.abs(V.values) + 0.05)
 r = muckenhoupt_constant(w, 2.0)

@@ -4,8 +4,10 @@ Each subcommand reads one YAML config, checked whole by
 :func:`lamespectra.config.check_config` before any compute, and writes data
 files into an output directory.  The config fully determines the run; the
 only flag overrides are the output directory and the seed.  Outputs are
-byte-identical across reruns with the same config and seed; wall-clock
-metadata goes to ``*.meta.json`` sidecars.
+byte-identical across reruns with the same config and seed.  Each command
+returns its report; :func:`main` runs it inside one :func:`trace.record` and
+writes the report, its ``*.meta.json`` sidecar (the trace and the
+environment) and one line to stdout.
 
 Exit codes: 0 success, 2 invalid config or output directory, 3 hypothesis
 violation, 4 budget exceeded or out of memory.
@@ -15,11 +17,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
+from . import trace
 from .config import ConfigError, check_config, load_config
 from .enclosure import EmptyEnsemble, HypothesisViolation, calibrate_constant, enclosure_report
 from .helmholtz import divergence, gradient, helmholtz_decompose
@@ -28,7 +30,7 @@ from .lattice import random_scalar_field, random_vector_field, scalar_lp_norm, v
 from .norms import norm_result
 from .potentials import random_ensemble
 from .serialize import vector_to_csv, write_metadata, write_report, write_table
-from .spectra import BudgetExceeded, bs_check, bs_norm, discrete_eigenvalues
+from .spectra import BudgetExceeded, bs_check, bs_kernel, bs_norm, discrete_eigenvalues
 
 __all__ = ["main"]
 
@@ -38,18 +40,11 @@ EXIT_HYPOTHESIS = 3
 EXIT_BUDGET = 4
 
 
-# -- subcommands: each takes the checked config and the output directory -----
+# -- subcommands: each takes the checked config and the output directory,
+# -- writes its data files and returns (report name, report, message) -------
 
 
-def _report(out: Path, name: str, report: dict, message: str, **extra) -> int:
-    """Write the report ``name`` and its sidecar, print one line, exit 0."""
-    write_report(report, out / name)
-    write_metadata(out / name, extra=extra)
-    print(message)
-    return EXIT_OK
-
-
-def cmd_decompose(run, out: Path) -> int:
+def cmd_decompose(run, out: Path) -> tuple:
     lat = run.lattice
     kind = run.decompose["field"]
     rng = np.random.default_rng(run.seed)
@@ -70,10 +65,10 @@ def cmd_decompose(run, out: Path) -> int:
         "divergence_residual": scalar_lp_norm(divergence(pair.solenoidal), 2.0),
         "recomposition_residual": vector_lp_norm(f - pair.total(), 2.0),
     }
-    return _report(out, "decompose.json", report, f"decompose: pythagorean residual {pyth:.3e}")
+    return "decompose.json", report, f"decompose: pythagorean residual {pyth:.3e}"
 
 
-def cmd_resolvent_check(run, out: Path) -> int:
+def cmd_resolvent_check(run, out: Path) -> tuple:
     lat, params = run.lattice, run.material
     samples = run.resolvent["samples"]
     rng = np.random.default_rng(run.seed)
@@ -90,20 +85,18 @@ def cmd_resolvent_check(run, out: Path) -> int:
         worst = max(worst, dev)
     report = {"material": {"lambda": params.lam, "mu": params.mu}, "samples_per_z": samples,
               "checks": rows, "worst_rel_deviation": worst}
-    return _report(out, "resolvent_check.json", report,
-                   f"resolvent-check: worst relative deviation {worst:.3e}")
+    return "resolvent_check.json", report, f"resolvent-check: worst relative deviation {worst:.3e}"
 
 
-def cmd_spectrum(run, out: Path) -> int:
+def cmd_spectrum(run, out: Path) -> tuple:
     result = discrete_eigenvalues(run.material, run.potential, **run.solver)
     z = result.eigenvalues
     write_table(out / "eigenvalues.csv", ["index", "re", "im", "residual", "distance_to_ray"],
                 [range(len(z)), z.real, z.imag, result.residuals, result.distances])
-    return _report(out, "spectrum.json", result.to_dict(),
-                   f"spectrum: {len(result)} eigenvalues kept", eigensolves=[result.eigensolve])
+    return "spectrum.json", result.to_dict(), f"spectrum: {len(result)} eigenvalues kept"
 
 
-def cmd_bs_check(run, out: Path) -> int:
+def cmd_bs_check(run, out: Path) -> tuple:
     params, V, budget_bytes = run.material, run.potential, run.solver["budget_bytes"]
     result = discrete_eigenvalues(params, V, **run.solver)
     from_spectrum = [complex(z) for z in result.eigenvalues[:run.bs["limit"]]]
@@ -112,38 +105,31 @@ def cmd_bs_check(run, out: Path) -> int:
             _check_admissible(z)
     except ValueError as exc:
         raise ConfigError(f"eigenvalue kept by solver.tau_filter: {exc}") from None
-    rows = [{"z": [z.real, z.imag],
-             "eigenvalue_gap": bs_check(params, V, z, budget_bytes=budget_bytes),
-             "operator_norm": bs_norm(params, V, z, budget_bytes=budget_bytes)}
-            for z in from_spectrum + run.bs["z_values"]]
+    rows = []
+    for z in from_spectrum + run.bs["z_values"]:
+        K = bs_kernel(params, V, z, budget_bytes=budget_bytes)
+        rows.append({"z": [z.real, z.imag], "eigenvalue_gap": bs_check(K),
+                     "operator_norm": bs_norm(K)})
     report = {"material": {"lambda": params.lam, "mu": params.mu}, "checks": rows,
               "n_from_spectrum": len(from_spectrum)}
     worst = max((r["eigenvalue_gap"] for r in rows), default=0.0)
-    return _report(out, "bs_check.json", report,
-                   f"bs-check: {len(rows)} points, worst |sigma + 1| gap {worst:.3e}",
-                   eigensolves=[result.eigensolve])
+    return ("bs_check.json", report,
+            f"bs-check: {len(rows)} points, worst |sigma + 1| gap {worst:.3e}")
 
 
-def cmd_norms(run, out: Path) -> int:
-    entries, seconds = [], []
-    scans = {"morrey_campanato": [], "kerman_sayer": []}
+def cmd_norms(run, out: Path) -> tuple:
+    entries = []
     for i, (name, params) in enumerate(run.norms):
-        start = time.perf_counter()
         try:
             res = norm_result(name, run.potential, budget_bytes=run.solver["budget_bytes"],
                               **params)
         except ValueError as exc:
             raise ConfigError(f"norms[{i}]: {exc}") from exc
-        seconds.append(time.perf_counter() - start)
         entries.append(res.to_dict())
-        if name in scans:
-            scans[name].append({"entry": i, **res.scan})
-    return _report(out, "norms.json", {"norms": entries}, f"norms: {len(entries)} computed",
-                   norm_seconds=seconds, morrey_campanato_screen=scans["morrey_campanato"],
-                   kerman_sayer_products=scans["kerman_sayer"])
+    return "norms.json", {"norms": entries}, f"norms: {len(entries)} computed"
 
 
-def cmd_enclosure(run, out: Path) -> int:
+def cmd_enclosure(run, out: Path) -> tuple:
     spec, params, V = run.enclosure["spec"], run.material, run.potential
     result = discrete_eigenvalues(params, V, **run.solver)
     report = enclosure_report(spec, params, V, result, margin=run.enclosure["margin"],
@@ -152,12 +138,11 @@ def cmd_enclosure(run, out: Path) -> int:
     write_table(out / "enclosure.csv", ["re", "im", "abs", "ratio", "verdict"],
                 [[w.real for w in z], [w.imag for w in z], [abs(w) for w in z],
                  report.ratios, report.verdicts])
-    return _report(out, "enclosure.json", report.to_dict(),
-                   f"enclosure: {len(report.ratios)} eigenvalues against {spec.theorem}",
-                   eigensolves=[result.eigensolve])
+    return ("enclosure.json", report.to_dict(),
+            f"enclosure: {len(report.ratios)} eigenvalues against {spec.theorem}")
 
 
-def cmd_calibrate(run, out: Path) -> int:
+def cmd_calibrate(run, out: Path) -> tuple:
     spec, ens = run.calibrate["spec"], run.calibrate["ensemble"]
     real_only = spec.theorem == "T_SA" if ens["real_only"] is None else ens["real_only"]
     potentials = random_ensemble(run.lattice, ens["family"], ens["size"], seed=run.seed,
@@ -166,9 +151,9 @@ def cmd_calibrate(run, out: Path) -> int:
         result = calibrate_constant(spec, [(run.material, V) for V in potentials], **run.solver)
     except EmptyEnsemble as exc:
         raise ConfigError(f"calibration produced no usable members: {exc}") from exc
-    return _report(out, "calibration.json", result.to_dict(),
-                   f"calibrate: C_emp = {result.value:.6g} over {ens['size']} members "
-                   f"[{result.fingerprint}]", eigensolves=list(result.eigensolves))
+    return ("calibration.json", result.to_dict(),
+            f"calibrate: C_emp = {result.value:.6g} over {ens['size']} members "
+            f"[{result.fingerprint}]")
 
 
 COMMANDS = {
@@ -206,7 +191,12 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create the output directory {args.output!r}: "
                               f"{exc.strerror}") from None
-        return COMMANDS[args.command](run, out)
+        with trace.record() as stages:
+            name, report, message = COMMANDS[args.command](run, out)
+        write_report(report, out / name)
+        write_metadata(out / name, {"trace": stages})
+        print(message)
+        return EXIT_OK
     except (ConfigError, HypothesisViolation, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_CONFIG if isinstance(exc, ConfigError)

@@ -419,9 +419,6 @@ class CalibrationResult:
     fingerprint: str
     bound_spec: dict
     members: tuple
-    # SpectralResult.eigensolve of each solved member, tagged with its index;
-    # run metadata, kept out of to_dict
-    eigensolves: tuple = ()
 
     def __float__(self) -> float:
         return self.value
@@ -460,7 +457,6 @@ def calibrate_constant(spec: BoundSpec, ensemble, tau_filter: float | None = Non
     if not ensemble:
         raise EmptyEnsemble("calibration needs at least one (params, V) member")
     members = []
-    eigensolves = []
     best = None
     for i, (params, V) in enumerate(ensemble):
         rhs = bound_rhs(spec, params, V, budget_bytes=budget_bytes)
@@ -471,7 +467,6 @@ def calibrate_constant(spec: BoundSpec, ensemble, tau_filter: float | None = Non
             res = discrete_eigenvalues(params, V, tau_filter=tau_filter, tau_res=tau_res,
                                        budget_bytes=budget_bytes)
             entry["n_eigenvalues"] = len(res)
-            eigensolves.append({"member": i, **res.eigensolve})
             if len(res) > 0:
                 ratio = float(max(abs(z) ** spec.gamma for z in res.eigenvalues) / rhs)
                 entry["best_ratio"] = ratio
@@ -484,5 +479,4 @@ def calibrate_constant(spec: BoundSpec, ensemble, tau_filter: float | None = Non
         fingerprint=_ensemble_fingerprint(spec, ensemble),
         bound_spec=spec.to_dict(),
         members=tuple(members),
-        eigensolves=tuple(eigensolves),
     )

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import trace
 from .lattice import (
     DEFAULT_BUDGET_BYTES,
     BudgetExceeded,
@@ -53,9 +54,6 @@ class NormResult:
     params: dict
     value: float
     witness: dict | None = field(default=None)
-    # what the scan computed (the MC screen's adds, the KS product counts);
-    # run metadata, kept out of to_dict so the report stays byte-stable
-    scan: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -141,16 +139,18 @@ def _check_scan_budget(scan: str, lattice: Lattice, need: int, budget_bytes: int
 def lp_norm(V: Potential, p: float) -> float:
     """Quadrature L^p norm of the potential, p >= 1."""
     _check_lp(V.lattice.dim, p)
-    return scalar_lp_norm(V.field, p)
+    with trace.stage("norm.lp"):
+        return scalar_lp_norm(V.field, p)
 
 
 def weighted_lq_norm(V: Potential, q: float, alpha: float) -> float:
     """Norm of V in L^q with weight <x>^(2 alpha), cell-centered."""
     _check_weighted_lq(V.lattice.dim, q, alpha)
     lat = V.lattice
-    w = polynomial_weight(lat, alpha)
-    total = np.sum(np.abs(V.values) ** q * w) * lat.cell_volume
-    return float(total) ** (1.0 / q)
+    with trace.stage("norm.weighted_lq"):
+        w = polynomial_weight(lat, alpha)
+        total = np.sum(np.abs(V.values) ** q * w) * lat.cell_volume
+        return float(total) ** (1.0 / q)
 
 
 # -- Morrey-Campanato --------------------------------------------------------
@@ -244,54 +244,54 @@ def morrey_campanato_norm(V: Potential, alpha: float, p: float,
     by :func:`_mc_ball`, center-major then radius order, so value
     and witness are those of the exhaustive scan.  Raises
     :class:`BudgetExceeded`, before any work, when the modelled peak
-    (:func:`_mc_bytes`) would not fit ``budget_bytes``.  The result's
-    ``scan`` holds ``slab_adds`` (whole-grid adds of the screen) and
-    ``candidates_reevaluated``.
+    (:func:`_mc_bytes`) would not fit ``budget_bytes``.  The call logs
+    trace stage ``norm.morrey_campanato`` with ``slab_adds`` (whole-grid adds
+    of the screen) and ``candidates_reevaluated``.
     """
     lat = V.lattice
     d = lat.dim
     _check_morrey_campanato(d, alpha, p)
     _check_scan_budget("Morrey-Campanato", lat, _mc_bytes(lat), budget_bytes)
-    counts = {}
-    h = lat.spacing
-    n = lat.n
-    exponents = dyadic_radius_exponents(lat)
-    R = 2 ** exponents[-1]
-    W = np.abs(V.values) ** p
-    padded = np.zeros((n + 2 * R,) * d)
-    padded[(slice(R, R + n),) * d] = W
-    rows = [_mc_rows(2**j, d) for j in exponents]
-    cands = np.zeros((len(exponents),) + lat.shape)
-    S = padded[..., R:R + n].copy()
-    for w in range(R + 1):
-        if w:
-            S += padded[..., R - w:R - w + n]
-            S += padded[..., R + w:R + w + n]
-        for j, (o, half) in zip(exponents, rows):
-            for a in o[half == w].tolist():
-                cands[j] += S[tuple(slice(R + x, R + x + n) for x in a)]
-    counts["slab_adds"] = 2 * R + sum(len(half) for _, half in rows)
-    del padded, S, rows
-    for j in exponents:
-        r = h * float(2**j)
-        cands[j] = r**alpha * (cands[j] * h**d / r**d) ** (1.0 / p)
-    top = cands.max()
-    best = 0.0
-    best_witness = None
-    counts["candidates_reevaluated"] = 0
-    if top > 0.0:
-        m = _offset_norms(d, R)
-        flat = cands.reshape(len(exponents), -1)
-        for lo in range(0, lat.npoints, _MC_CHUNK):
-            at, radius = np.nonzero(flat[:, lo:lo + _MC_CHUNK].T >= top * (1.0 - _MC_SLACK))
-            centers = np.unravel_index(lo + at, lat.shape)
-            for *center, j in zip(*(c.tolist() for c in centers), radius.tolist()):
-                cand = _mc_ball(lat, W, m, alpha, p, center, j)
-                if cand > best:
-                    best = cand
-                    best_witness = {"center": center, "radius_exponent": j}
-            counts["candidates_reevaluated"] += len(at)
-    return NormResult("morrey_campanato", {"alpha": alpha, "p": p}, best, best_witness, counts)
+    with trace.stage("norm.morrey_campanato") as counts:
+        h = lat.spacing
+        n = lat.n
+        exponents = dyadic_radius_exponents(lat)
+        R = 2 ** exponents[-1]
+        W = np.abs(V.values) ** p
+        padded = np.zeros((n + 2 * R,) * d)
+        padded[(slice(R, R + n),) * d] = W
+        rows = [_mc_rows(2**j, d) for j in exponents]
+        cands = np.zeros((len(exponents),) + lat.shape)
+        S = padded[..., R:R + n].copy()
+        for w in range(R + 1):
+            if w:
+                S += padded[..., R - w:R - w + n]
+                S += padded[..., R + w:R + w + n]
+            for j, (o, half) in zip(exponents, rows):
+                for a in o[half == w].tolist():
+                    cands[j] += S[tuple(slice(R + x, R + x + n) for x in a)]
+        counts["slab_adds"] = 2 * R + sum(len(half) for _, half in rows)
+        del padded, S, rows
+        for j in exponents:
+            r = h * float(2**j)
+            cands[j] = r**alpha * (cands[j] * h**d / r**d) ** (1.0 / p)
+        top = cands.max()
+        best = 0.0
+        best_witness = None
+        counts["candidates_reevaluated"] = 0
+        if top > 0.0:
+            m = _offset_norms(d, R)
+            flat = cands.reshape(len(exponents), -1)
+            for lo in range(0, lat.npoints, _MC_CHUNK):
+                at, radius = np.nonzero(flat[:, lo:lo + _MC_CHUNK].T >= top * (1.0 - _MC_SLACK))
+                centers = np.unravel_index(lo + at, lat.shape)
+                for *center, j in zip(*(c.tolist() for c in centers), radius.tolist()):
+                    cand = _mc_ball(lat, W, m, alpha, p, center, j)
+                    if cand > best:
+                        best = cand
+                        best_witness = {"center": center, "radius_exponent": j}
+                counts["candidates_reevaluated"] += len(at)
+        return NormResult("morrey_campanato", {"alpha": alpha, "p": p}, best, best_witness)
 
 
 # -- dyadic levels -----------------------------------------------------------
@@ -510,32 +510,34 @@ def kerman_sayer_norm(V: Potential, alpha: float, eps_mass: float = EPS_MASS,
     Cubes with quadrature mass <= eps_mass are skipped; single-cell cubes
     contribute zero because the diagonal is excluded.  Raises
     :class:`BudgetExceeded`, before any work, when the scan's chunk memory
-    would not fit ``budget_bytes``.  The result's ``scan`` holds
-    ``products_formed`` and ``products_skipped_zero`` over the cubes scanned.
+    would not fit ``budget_bytes``.  The call logs trace stage
+    ``norm.kerman_sayer`` with ``products_formed`` and
+    ``products_skipped_zero`` over the cubes scanned.
     """
     lat = V.lattice
     d = lat.dim
     _check_kerman_sayer(d, alpha, eps_mass)
     _check_scan_budget("Kerman-Sayer", lat, _ks_bytes(lat), budget_bytes)
-    counts = {"products_formed": 0, "products_skipped_zero": 0}
-    h = lat.spacing
-    absV = np.abs(V.values)
-    best = 0.0
-    best_witness = None
-    for level in range(dyadic_level_max(lat.n) + 1):
-        side = lat.n >> level
-        W = _level_blocks(absV, side)
-        mass = np.sum(W, axis=1) * h**d
-        kept = np.flatnonzero(mass > eps_mass)
-        if kept.size == 0:
-            continue
-        cand = _ks_numerators(lat, side, alpha, W[kept], counts) / mass[kept]
-        i = _first_above(cand, best)
-        if i is not None:
-            best = float(cand[i])
-            best_witness = _cube_witness(level, side, int(kept[i]), d)
-    return NormResult("kerman_sayer", {"alpha": alpha, "eps_mass": eps_mass}, best, best_witness,
-                      counts)
+    with trace.stage("norm.kerman_sayer") as counts:
+        counts.update(products_formed=0, products_skipped_zero=0)
+        h = lat.spacing
+        absV = np.abs(V.values)
+        best = 0.0
+        best_witness = None
+        for level in range(dyadic_level_max(lat.n) + 1):
+            side = lat.n >> level
+            W = _level_blocks(absV, side)
+            mass = np.sum(W, axis=1) * h**d
+            kept = np.flatnonzero(mass > eps_mass)
+            if kept.size == 0:
+                continue
+            cand = _ks_numerators(lat, side, alpha, W[kept], counts) / mass[kept]
+            i = _first_above(cand, best)
+            if i is not None:
+                best = float(cand[i])
+                best_witness = _cube_witness(level, side, int(kept[i]), d)
+        return NormResult("kerman_sayer", {"alpha": alpha, "eps_mass": eps_mass}, best,
+                          best_witness)
 
 
 # -- Muckenhoupt -------------------------------------------------------------
@@ -553,27 +555,28 @@ def muckenhoupt_constant(w: ScalarField, p: float, eps_w: float = EPS_WEIGHT) ->
     values = np.ascontiguousarray(w.values.real)
     if np.any(values < 0.0):
         raise ValueError("weight must be nonnegative")
-    if np.any(values == 0.0):
-        warnings.warn(
-            f"weight vanishes on {int(np.sum(values == 0.0))} cells; flooring at {eps_w}",
-            stacklevel=2,
-        )
-        values = np.maximum(values, eps_w)
-    dual = values ** (-1.0 / (p - 1.0))
-    n = w.lattice.n
-    best = 0.0
-    best_witness = None
-    for level in range(dyadic_level_max(n) + 1):
-        side = n >> level
-        m1 = np.mean(_level_blocks(values, side), axis=1).tolist()
-        m2 = np.mean(_level_blocks(dual, side), axis=1).tolist()
-        # scalar powers: numpy's vectorised power rounds differently from libm's
-        cand = np.array([a * b ** (p - 1.0) for a, b in zip(m1, m2)])
-        i = _first_above(cand, best)
-        if i is not None:
-            best = float(cand[i])
-            best_witness = _cube_witness(level, side, i, values.ndim)
-    return NormResult("muckenhoupt", {"p": p, "eps_w": eps_w}, best, best_witness)
+    with trace.stage("norm.muckenhoupt"):
+        if np.any(values == 0.0):
+            warnings.warn(
+                f"weight vanishes on {int(np.sum(values == 0.0))} cells; flooring at {eps_w}",
+                stacklevel=2,
+            )
+            values = np.maximum(values, eps_w)
+        dual = values ** (-1.0 / (p - 1.0))
+        n = w.lattice.n
+        best = 0.0
+        best_witness = None
+        for level in range(dyadic_level_max(n) + 1):
+            side = n >> level
+            m1 = np.mean(_level_blocks(values, side), axis=1).tolist()
+            m2 = np.mean(_level_blocks(dual, side), axis=1).tolist()
+            # scalar powers: numpy's vectorised power rounds differently from libm's
+            cand = np.array([a * b ** (p - 1.0) for a, b in zip(m1, m2)])
+            i = _first_above(cand, best)
+            if i is not None:
+                best = float(cand[i])
+                best_witness = _cube_witness(level, side, i, values.ndim)
+        return NormResult("muckenhoupt", {"p": p, "eps_w": eps_w}, best, best_witness)
 
 
 # -- reporting ---------------------------------------------------------------

@@ -2,18 +2,20 @@
 
 Reports are byte-stable across reruns (sorted keys, fixed float repr, no
 embedded timestamps).  Run metadata that legitimately varies, like wall-clock
-time, goes to a sidecar ``<name>.meta.json`` so the main artifact can be
-diffed or hashed.
+time and the environment, goes to a sidecar ``<name>.meta.json`` so the main
+artifact can be diffed or hashed.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .lattice import Lattice, ScalarField, VectorField
 
@@ -125,9 +127,14 @@ def read_report(path) -> dict:
 
 
 def write_metadata(path, extra: dict | None = None) -> Path:
-    """Write the varying run info next to ``path`` and return the sidecar."""
+    """Write the varying run info and environment next to ``path``; return the sidecar."""
     sidecar = Path(str(path) + ".meta.json")
-    doc = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "artifact": Path(path).name}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    env = {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas.get("name"),
+           "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
+           "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+    doc = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "artifact": Path(path).name,
+           "environment": env}
     if extra:
         doc.update(extra)
     sidecar.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")

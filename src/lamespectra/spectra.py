@@ -17,13 +17,13 @@ that no eigenvalue can pass the distance filter (:func:`_ray_reach`).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 import scipy.linalg
 
+from . import trace
 from .lame import (
     LameParams,
     Potential,
@@ -50,7 +50,6 @@ __all__ = [
     "DEFAULT_BUDGET_BYTES",
     "BudgetExceeded",
     "SpectralResult",
-    "BSOperator",
     "spectral_width",
     "default_tau_filter",
     "default_tau_res",
@@ -58,6 +57,7 @@ __all__ = [
     "dense_operator_matrix",
     "dense_resolvent_matrix",
     "discrete_eigenvalues",
+    "bs_kernel",
     "bs_norm",
     "bs_check",
     "resolvent_norm_estimate",
@@ -191,9 +191,6 @@ class SpectralResult:
     residuals: np.ndarray
     distances: np.ndarray
     solver_info: dict = field(default_factory=dict)
-    # how the eigenvectors were found and at what cost; run metadata, kept
-    # out of to_dict so the report stays byte-stable
-    eigensolve: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -314,7 +311,8 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
     thread.  Raises :class:`BudgetExceeded` when the solve would not fit the
     budget, skipped or not.  Every reported eigenvalue carries a matrix-free
     residual below ``tau_res``.  A NaN or negative ``tau_filter`` or a
-    ``tau_res`` that is not positive raises ValueError.
+    ``tau_res`` that is not positive raises ValueError.  The call logs trace
+    stage ``dense.eig`` with its ``route`` and the number of ``lu_solves``.
     """
     lat = V.lattice
     if tau_filter is None:
@@ -326,111 +324,79 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
     order = lat.dim * lat.npoints
     _check_budget(order, budget_bytes, lat.dim)
     info = {"method": "dense", "matrix_order": order}
-    if tau_filter >= _ray_reach(params, V):
-        result = _package(params, V, (), tau_filter, tau_res, info, unsolved=order)
-        return replace(result, eigensolve={
-            "eigenvector_route": "numerical_range", "lu_solves": 0, "eigensolve_seconds": 0.0})
-    A = dense_operator_matrix(params, V, budget_bytes=budget_bytes)
-    start_time = time.perf_counter()
-    work = np.empty((order, order), dtype=complex, order="F")
-    work[...] = A.T
-    w = scipy.linalg.eigvals(work, overwrite_a=True, check_finite=False)
-    far = _far_from_ray(w, tau_filter)
-    if np.count_nonzero(far) > _EIG_FALLBACK:
+    with trace.stage("dense.eig") as note:
+        if tau_filter >= _ray_reach(params, V):
+            note.update(route="numerical_range", lu_solves=0)
+            return _package(params, V, (), tau_filter, tau_res, info, unsolved=order)
+        A = dense_operator_matrix(params, V, budget_bytes=budget_bytes)
+        work = np.empty((order, order), dtype=complex, order="F")
         work[...] = A.T
-        del A  # the eigenvectors take the operator's place in the memory model
-        w, vl = scipy.linalg.eig(work, left=True, right=False, overwrite_a=True,
-                                 check_finite=False)
-        # a left eigenvector of A^T is the conjugate of a right one of A
-        pairs = ((w[i], _vector_from_flat(lat, vl[:, i].conj())) for i in range(order))
-        route, lu_solves = "eig", 0
-    else:
-        rng = np.random.default_rng(0)
-        start = rng.standard_normal(order) + 1j * rng.standard_normal(order)
-        vectors = {i: _vector_from_flat(lat, _inverse_iteration(A, w[i], work, start))
-                   for i in np.flatnonzero(far)}
-        pairs = ((z, vectors.get(i)) for i, z in enumerate(w))
-        route, lu_solves = "inverse_iteration", len(vectors)
-    seconds = time.perf_counter() - start_time
-    result = _package(params, V, pairs, tau_filter, tau_res, info)
-    return replace(result, eigensolve={
-        "eigenvector_route": route, "lu_solves": lu_solves, "eigensolve_seconds": seconds})
+        w = scipy.linalg.eigvals(work, overwrite_a=True, check_finite=False)
+        far = _far_from_ray(w, tau_filter)
+        if np.count_nonzero(far) > _EIG_FALLBACK:
+            work[...] = A.T
+            del A  # the eigenvectors take the operator's place in the memory model
+            w, vl = scipy.linalg.eig(work, left=True, right=False, overwrite_a=True,
+                                     check_finite=False)
+            # a left eigenvector of A^T is the conjugate of a right one of A
+            pairs = ((w[i], _vector_from_flat(lat, vl[:, i].conj())) for i in range(order))
+            note.update(route="eig", lu_solves=0)
+        else:
+            rng = np.random.default_rng(0)
+            start = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+            vectors = {i: _vector_from_flat(lat, _inverse_iteration(A, w[i], work, start))
+                       for i in np.flatnonzero(far)}
+            pairs = ((z, vectors.get(i)) for i, z in enumerate(w))
+            note.update(route="inverse_iteration", lu_solves=len(vectors))
+        return _package(params, V, pairs, tau_filter, tau_res, info)
 
 
 # -- Birman-Schwinger --------------------------------------------------------
 
 
-class BSOperator:
-    """Birman-Schwinger operator K = V_1/2 (-Delta* - z)^-1 |V|^1/2.
+def bs_kernel(params: LameParams, V: Potential, z: complex,
+              budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
+    """Birman-Schwinger kernel K = V_1/2 (-Delta* - z)^-1 |V|^1/2, dense on the support of V.
 
-    ``V_1/2 = |V|^1/2 sgn(V)`` with the complex signum (0 at 0); both factors
-    act componentwise and vanish off the support of V.
+    ``V_1/2 = |V|^1/2 sgn(V)`` with the complex signum; both factors act
+    componentwise and vanish off the support, so K restricted to the support
+    points (component-major layout) holds all of its nonzero spectrum and
+    singular values.  Shape (0, 0) for the zero potential.
     """
-
-    def __init__(self, params: LameParams, V: Potential, z: complex):
-        _check_admissible(z)
-        self.params = params
-        self.V = V
-        self.z = complex(z)
-        mag = np.abs(V.values)
-        sgn = np.zeros_like(V.values)
-        nz = mag > 0
-        sgn[nz] = V.values[nz] / mag[nz]
-        self.abs_half = np.sqrt(mag)
-        self.v_half = self.abs_half * sgn
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.V.lattice
-
-    def apply(self, g: VectorField) -> VectorField:
-        cut = _adopt(VectorField, g.lattice, self.abs_half[None] * g.values)
-        out = resolvent_split(self.params, self.z, cut)
-        return _adopt(VectorField, g.lattice, self.v_half[None] * out.values)
-
-    def support_points(self) -> np.ndarray:
-        return np.flatnonzero(self.V.support_mask.reshape(-1))
-
-    def dense_matrix(self, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
-        """K restricted to the support of V, in the component-major layout."""
-        pts = self.support_points()
-        if len(pts) == 0:
-            return np.zeros((0, 0), dtype=complex)
-        R = dense_resolvent_matrix(self.params, self.z, self.lattice, points=pts,
-                                   budget_bytes=budget_bytes)
-        left = np.concatenate([self.v_half.reshape(-1)[pts]] * self.lattice.dim)
-        right = np.concatenate([self.abs_half.reshape(-1)[pts]] * self.lattice.dim)
-        R *= left[:, None]
-        R *= right[None, :]
-        return R
+    _check_admissible(z)
+    pts = np.flatnonzero(V.support_mask.reshape(-1))
+    if len(pts) == 0:
+        return np.zeros((0, 0), dtype=complex)
+    K = dense_resolvent_matrix(params, z, V.lattice, points=pts, budget_bytes=budget_bytes)
+    v = V.values.reshape(-1)[pts]
+    mag = np.abs(v)
+    abs_half = np.sqrt(mag)
+    K *= np.tile(abs_half * (v / mag), V.lattice.dim)[:, None]
+    K *= np.tile(abs_half, V.lattice.dim)[None, :]
+    return K
 
 
-def bs_norm(params: LameParams, V: Potential, z: complex,
-            budget_bytes: int = DEFAULT_BUDGET_BYTES) -> float:
-    """Largest singular value of the Birman-Schwinger operator at z.
+def bs_norm(K: np.ndarray) -> float:
+    """Largest singular value of a Birman-Schwinger kernel from :func:`bs_kernel`.
 
-    Both factors of K vanish off the support of V, so this is the exact
-    2-norm of the dense restricted kernel; 0 for the zero potential.  At any
-    eigenvalue of the discretized -Delta* + V the value is at least 1, since
-    -1 then lies in the spectrum of K.
+    The exact 2-norm of K(z); 0 for the zero potential.  At any eigenvalue z
+    of the discretized -Delta* + V the value is at least 1, since -1 then
+    lies in the spectrum of K(z).
     """
-    mat = BSOperator(params, V, z).dense_matrix(budget_bytes=budget_bytes)
-    if mat.shape[0] == 0:
+    if K.shape[0] == 0:
         return 0.0
-    return float(np.linalg.norm(mat, 2))
+    return float(np.linalg.norm(K, 2))
 
 
-def bs_check(params: LameParams, V: Potential, z: complex,
-             budget_bytes: int = DEFAULT_BUDGET_BYTES) -> float:
-    """Residual min |sigma + 1| over the spectrum of the dense restricted K.
+def bs_check(K: np.ndarray) -> float:
+    """Residual min |sigma + 1| over the spectrum of a kernel from :func:`bs_kernel`.
 
     Near zero exactly when z is an eigenvalue of the discretized -Delta* + V;
-    returns 1 for the zero potential (K is the zero operator).
+    1 for the zero potential (K is the zero operator).
     """
-    mat = BSOperator(params, V, z).dense_matrix(budget_bytes=budget_bytes)
-    if mat.shape[0] == 0:
+    if K.shape[0] == 0:
         return 1.0
-    sigma = np.linalg.eigvals(mat)
+    sigma = np.linalg.eigvals(K)
     return float(np.min(np.abs(sigma + 1.0)))
 
 
@@ -468,7 +434,7 @@ def resolvent_norm_estimate(params: LameParams, z: complex, norm_pair, lattice: 
 
     if kind == "weighted_l2":
         alpha = float(value)
-        if alpha < 0.0:
+        if not alpha >= 0.0:
             raise ValueError(f"weight exponent must be >= 0, got {alpha}")
         inv_half = polynomial_weight(lattice, -alpha / 2.0)  # <x>^-alpha
 

@@ -9,7 +9,9 @@ holds each cube's whole K x K slab of products.
 The square-well solver works on the continuum line problem via the standard
 transcendental matching conditions, nothing spectral or grid-based.  The
 full-eig spectrum is the slow dense route: every eigenvector from one
-``numpy.linalg.eig``, then the library's own filters.
+``numpy.linalg.eig``, then the library's own filters.  The Birman-Schwinger
+operator is applied matrix-free through the FFT resolvent, the reference
+the dense kernel's columns are checked against.
 """
 
 import itertools
@@ -19,6 +21,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
 
 from lamespectra import spectra
+from lamespectra.lame import resolvent_split
+from lamespectra.lattice import VectorField
 
 
 def mc_norm_brute(V, alpha, p):
@@ -275,3 +279,17 @@ def eigenvalues_by_full_eig(params, V, tau_filter=None, tau_res=None):
     pairs = ((w[i], spectra._vector_from_flat(lat, vecs[:, i])) for i in range(len(w)))
     info = {"method": "dense", "matrix_order": A.shape[0]}
     return spectra._package(params, V, pairs, tau_filter, tau_res, info)
+
+
+def bs_apply(params, V, z, g):
+    """K(z) g = V_1/2 (-Delta* - z)^-1 |V|^1/2 g, matrix-free on the whole lattice.
+
+    ``V_1/2 = |V|^1/2 sgn(V)`` with the complex signum (0 at 0); both factors
+    act componentwise through :func:`lame.resolvent_split`.
+    """
+    mag = np.abs(V.values)
+    sgn = np.zeros_like(V.values)
+    nz = mag > 0
+    sgn[nz] = V.values[nz] / mag[nz]
+    out = resolvent_split(params, z, VectorField(g.lattice, np.sqrt(mag)[None] * g.values))
+    return VectorField(g.lattice, (np.sqrt(mag) * sgn)[None] * out.values)

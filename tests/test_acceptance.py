@@ -42,7 +42,7 @@ from lamespectra.norms import (
     muckenhoupt_constant,
 )
 from lamespectra.potentials import gaussian_bump, random_ensemble, square_well
-from lamespectra.spectra import bs_check, bs_norm, discrete_eigenvalues
+from lamespectra.spectra import bs_check, bs_kernel, bs_norm, discrete_eigenvalues
 
 from oracles import ap_constant_brute, ks_norm_brute, mc_norm_brute
 
@@ -182,9 +182,9 @@ def test_criterion_04_birman_schwinger_consistency():
         res = discrete_eigenvalues(params, V, tau_filter=tau)
         assert len(res) > 0
         for z in res.eigenvalues:
-            z = complex(z)
-            worst_gap = max(worst_gap, bs_check(params, V, z))
-            lowest_norm = min(lowest_norm, bs_norm(params, V, z))
+            K = bs_kernel(params, V, complex(z))
+            worst_gap = max(worst_gap, bs_check(K))
+            lowest_norm = min(lowest_norm, bs_norm(K))
             count += 1
     ok = worst_gap < 1e-6 and lowest_norm >= 1.0 - 1e-6
     _report(

@@ -1,5 +1,6 @@
 """The public surface: what importing the package loads and what it exports."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -30,4 +31,16 @@ def test_cli_import_leaves_out_scipy_sparse():
 def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_every_benchmark_span_resolves():
+    # the traced benchmark wraps each (module, function) of SPANS by name, so
+    # renaming or deleting one in lamespectra breaks every traced run
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "spans.py").read_text())
+    (spans,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["SPANS"]]
+    assert len(spans) > 0
+    missing = [(m, f) for m, f, _ in spans
+               if not callable(getattr(importlib.import_module(f"lamespectra.{m}"), f, None))]
     assert missing == []

@@ -52,6 +52,11 @@ def _json(out, name):
     return json.loads((out / name).read_text())
 
 
+def _eig_notes(out, report):
+    """The ``dense.eig`` stages in the trace of a report's sidecar, in order."""
+    return [s for s in _json(out, report + ".meta.json")["trace"] if s["stage"] == "dense.eig"]
+
+
 def test_decompose_random(tmp_path):
     cfg = _write(
         tmp_path,
@@ -68,7 +73,7 @@ def test_decompose_random(tmp_path):
     assert doc["recomposition_residual"] < 1e-12
     for name in ("field.csv", "solenoidal.csv", "potential_part.csv"):
         assert (out / name).exists()
-    assert (out / "decompose.json.meta.json").exists()
+    assert _json(out, "decompose.json.meta.json")["trace"] == []  # no traced stage runs
 
 
 def test_decompose_gradient_is_potential_only(tmp_path):
@@ -216,17 +221,17 @@ def test_norms_sidecar_times_each_entry(tmp_path):
     assert main(["norms", "-c", cfg, "-o", str(out1)]) == 0
     assert main(["norms", "-c", cfg, "-o", str(out2)]) == 0
     assert (out1 / "norms.json").read_bytes() == (out2 / "norms.json").read_bytes()
-    meta = _json(out1, "norms.json.meta.json")
-    assert len(meta["norm_seconds"]) == len(_json(out1, "norms.json")["norms"]) == 3
-    assert all(isinstance(t, float) and t >= 0.0 for t in meta["norm_seconds"])
-    # each scan's counts under its own key, tagged with the entry's index
-    (screen,) = meta["morrey_campanato_screen"]
-    assert screen["entry"] == 1
+    stages = _json(out1, "norms.json.meta.json")["trace"]
+    assert len(stages) == len(_json(out1, "norms.json")["norms"]) == 3
+    assert all(isinstance(s["seconds"], float) and s["seconds"] >= 0.0 for s in stages)
+    # one stage per entry, in order, with each scan's counts
+    lp, screen, products = stages
+    assert set(lp) == {"stage", "seconds"} and lp["stage"] == "norm.lp"
+    assert screen["stage"] == "norm.morrey_campanato"
     assert screen["slab_adds"] == 2 * 8 + (3 + 5 + 9 + 17)  # R = 8, radii 1, 2, 4, 8
     assert screen["candidates_reevaluated"] >= 1
-    (products,) = meta["kerman_sayer_products"]
-    assert products["entry"] == 2 and set(products) == {"entry", "products_formed",
-                                                        "products_skipped_zero"}
+    assert products["stage"] == "norm.kerman_sayer"
+    assert set(products) == {"stage", "seconds", "products_formed", "products_skipped_zero"}
 
 
 @pytest.mark.parametrize("command, extra, report", [
@@ -237,10 +242,10 @@ def test_sidecar_records_the_eigensolve(tmp_path, command, extra, report):
     cfg = _write(tmp_path, WELL_CONFIG + extra)
     out = tmp_path / "out"
     assert main([command, "-c", cfg, "-o", str(out)]) == 0
-    (solve,) = _json(out, report + ".meta.json")["eigensolves"]
-    assert solve["eigenvector_route"] == "inverse_iteration"
+    (solve,) = _eig_notes(out, report)
+    assert solve["route"] == "inverse_iteration"
     assert solve["lu_solves"] == 2  # the well's two bound states
-    assert solve["eigensolve_seconds"] > 0.0
+    assert solve["seconds"] > 0.0
     if command == "spectrum":
         assert set(_json(out, report)["solver_info"]).isdisjoint(solve)
 
@@ -249,18 +254,19 @@ def test_calibrate_sidecar_records_each_eigensolve(tmp_path):
     cfg = _write(tmp_path, CALIBRATE_CONFIG)
     out = tmp_path / "out"
     assert main(["calibrate", "-c", cfg, "-o", str(out)]) == 0
-    solves = _json(out, "calibration.json.meta.json")["eigensolves"]
-    members = _json(out, "calibration.json")["members"]
-    assert [s["member"] for s in solves] == [m["index"] for m in members if m["rhs"] > 0.0]
-    for s in solves:
-        kept = members[s["member"]]["n_eigenvalues"]
-        if s["eigenvector_route"] == "eig":
+    solves = _eig_notes(out, "calibration.json")
+    # one solve per member with a positive right-hand side, in member order
+    solved = [m for m in _json(out, "calibration.json")["members"] if m["rhs"] > 0.0]
+    assert len(solves) == len(solved) > 0
+    for s, member in zip(solves, solved):
+        kept = member["n_eigenvalues"]
+        if s["route"] == "eig":
             assert s["lu_solves"] == 0 and kept > _EIG_FALLBACK
         else:
-            assert s["eigenvector_route"] == "inverse_iteration" and s["lu_solves"] == kept
-        assert s["eigensolve_seconds"] > 0.0
+            assert s["route"] == "inverse_iteration" and s["lu_solves"] == kept
+        assert s["seconds"] > 0.0
     # with the default distance filter this ensemble takes both routes
-    assert {s["eigenvector_route"] for s in solves} == {"eig", "inverse_iteration"}
+    assert {s["route"] for s in solves} == {"eig", "inverse_iteration"}
 
 
 KS_3D_CONFIG = """
@@ -287,9 +293,8 @@ def test_norms_ks_scan_3d_n32_fits(tmp_path):
     assert time.perf_counter() - start < 10.0
     assert peak <= 64 * 1024**2
     assert _json(out, "norms.json")["norms"][0]["value"] > 0.0
-    meta = _json(out, "norms.json.meta.json")
-    (counts,) = meta["kerman_sayer_products"]
-    assert counts["entry"] == 0
+    (counts,) = _json(out, "norms.json.meta.json")["trace"]
+    assert counts["stage"] == "norm.kerman_sayer"
     # the six dyadic levels hold 6 N^2 products, fewer in cubes of zero mass
     assert counts["products_formed"] + counts["products_skipped_zero"] <= 6 * 32768**2
     assert counts["products_skipped_zero"] > 10 * counts["products_formed"] > 0

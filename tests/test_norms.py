@@ -16,6 +16,7 @@ from oracles import (
     mc_norm_brute,
     mc_norm_loop,
 )
+from lamespectra import trace
 from lamespectra.config import lattice_from_config, potential_from_config
 from lamespectra.lame import Potential
 from lamespectra.lattice import BudgetExceeded, Lattice, ScalarField
@@ -167,12 +168,14 @@ def test_mc_scan_reports_screen_counts():
     # radii add 3 + 5 + 9 + 17 + 33 + 65 rows; one shifted add per offset of
     # the largest ball would take 3209
     V = gaussian_bump(Lattice(2, 64), -4.0, 0.4)
-    r = morrey_campanato_norm(V, 1.0, 1.5)
-    assert r == morrey_campanato_norm(V, 1.0, 1.5)
-    assert r.scan["slab_adds"] == 64 + 132
-    assert r.scan["candidates_reevaluated"] >= 1
+    with trace.record() as stages:
+        r = morrey_campanato_norm(V, 1.0, 1.5)
+    assert r == morrey_campanato_norm(V, 1.0, 1.5)  # the same bits outside a record
+    (screen,) = stages
+    assert screen["stage"] == "norm.morrey_campanato"
+    assert screen["slab_adds"] == 64 + 132
+    assert screen["candidates_reevaluated"] >= 1
     assert norm_result("morrey_campanato", V, alpha=1.0, p=1.5) == r
-    assert "scan" not in r.to_dict()
     with pytest.raises(BudgetExceeded):
         norm_result("morrey_campanato", V, budget_bytes=1000, alpha=1.0, p=1.5)
 
@@ -417,11 +420,13 @@ def test_ks_nonfinite_weight_computes_every_product():
 def test_ks_norm_reports_product_counts():
     lat = Lattice(2, 64)
     V = gaussian_bump(lat, -4.0, 0.4)
-    r = kerman_sayer_norm(V, 0.5)
-    assert r == kerman_sayer_norm(V, 0.5)
-    assert r.scan["products_skipped_zero"] > r.scan["products_formed"] > 0
+    with trace.record() as stages:
+        r = kerman_sayer_norm(V, 0.5)
+    assert r == kerman_sayer_norm(V, 0.5)  # the same bits outside a record
+    (products,) = stages
+    assert products["stage"] == "norm.kerman_sayer"
+    assert products["products_skipped_zero"] > products["products_formed"] > 0
     assert norm_result("kerman_sayer", V, alpha=0.5) == r
-    assert "scan" not in r.to_dict()
 
 
 # -- scans against their loop oracles ----------------------------------------

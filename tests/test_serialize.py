@@ -1,8 +1,10 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
+import scipy
 
 from lamespectra.lattice import (
     Lattice,
@@ -168,3 +170,16 @@ def test_metadata_sidecar(tmp_path):
     assert doc["artifact"] == "spectrum.json"
     assert doc["seed"] == 7
     assert "written_at" in doc
+
+
+@pytest.mark.parametrize("threads", ["3", None])
+def test_metadata_sidecar_records_the_environment(tmp_path, monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    env = json.loads(write_metadata(tmp_path / "x.json").read_text())["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env == {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas["name"],
+                   "blas_version": blas["version"], "openblas_num_threads": threads,
+                   "cpu_count": os.cpu_count()}

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import svdvals
 
-from oracles import eigenvalues_by_full_eig, well_bound_states
+from oracles import bs_apply, eigenvalues_by_full_eig, well_bound_states
 from test_acceptance import _bs_fixtures
+from lamespectra import trace
 from lamespectra.lame import LameParams, Potential, apply_lame, apply_perturbed
 from lamespectra.lattice import Lattice, VectorField, random_vector_field
 from lamespectra.norms import polynomial_weight
@@ -17,9 +18,9 @@ from lamespectra.spectra import (
     _inverse_iteration,
     _package,
     _ray_reach,
-    BSOperator,
     BudgetExceeded,
     bs_check,
+    bs_kernel,
     bs_norm,
     default_tau_filter,
     default_tau_res,
@@ -32,6 +33,15 @@ from lamespectra.spectra import (
 )
 
 WELL_PARAMS = LameParams(-1.0, 1.0)  # longitudinal speed 1
+
+
+def _solve(params, V, **kwargs):
+    """discrete_eigenvalues and the one ``dense.eig`` trace note it logs."""
+    with trace.record() as stages:
+        res = discrete_eigenvalues(params, V, **kwargs)
+    (note,) = stages
+    assert note["stage"] == "dense.eig"
+    return res, note
 
 
 def _well_fixture(n, L=30.0, depth=5.0):
@@ -124,11 +134,11 @@ def test_dense_peak_matches_model():
         V = Potential.from_array(Lattice(1, order, 1e200), -1.0 - np.arange(order))
         tracemalloc.start()
         try:
-            res = discrete_eigenvalues(params, V, tau_filter=tau_filter)
+            res, note = _solve(params, V, tau_filter=tau_filter)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.eigensolve["eigenvector_route"] == route
+        assert note["route"] == route
         assert len(res) == order - res.solver_info["rejected_by_distance"]
         assert np.all(np.isfinite(res.residuals))
         model = _dense_peak_bytes(order)
@@ -226,7 +236,7 @@ def _fast_route_cases():
 
 @pytest.mark.parametrize("params, V, tau_filter, route", _fast_route_cases())
 def test_fast_route_matches_full_eig(params, V, tau_filter, route):
-    fast = discrete_eigenvalues(params, V, tau_filter=tau_filter)
+    fast, note = _solve(params, V, tau_filter=tau_filter)
     slow = eigenvalues_by_full_eig(params, V, tau_filter=tau_filter)
     assert len(fast) == len(slow)
     for key in ("rejected_by_distance", "rejected_by_residual"):
@@ -235,8 +245,8 @@ def test_fast_route_matches_full_eig(params, V, tau_filter, route):
     assert np.all(gap <= 1e-10 * np.abs(slow.eigenvalues))
     survivors = fast.solver_info["matrix_order"] - fast.solver_info["rejected_by_distance"]
     assert (survivors > _EIG_FALLBACK) == (route == "eig")
-    assert fast.eigensolve["eigenvector_route"] == route
-    assert fast.eigensolve["lu_solves"] == (survivors if route == "inverse_iteration" else 0)
+    assert note["route"] == route
+    assert note["lu_solves"] == (survivors if route == "inverse_iteration" else 0)
 
 
 def _range_cases():
@@ -262,15 +272,14 @@ def test_numerical_range_bounds_every_eigenvalue(params, V):
     assert len(full) > 0
     assert np.all(full.distances <= reach)
     # at the reach the solve is skipped, and the report is the full path's
-    skipped = discrete_eigenvalues(params, V, tau_filter=reach)
-    assert skipped.eigensolve == {"eigenvector_route": "numerical_range", "lu_solves": 0,
-                                  "eigensolve_seconds": 0.0}
+    skipped, note = _solve(params, V, tau_filter=reach)
+    assert (note["route"], note["lu_solves"]) == ("numerical_range", 0)
     assert skipped.to_dict() == eigenvalues_by_full_eig(params, V, tau_filter=reach).to_dict()
     assert skipped.solver_info["rejected_by_distance"] == skipped.solver_info["matrix_order"]
     # just below it the solve runs
     below = np.nextafter(reach, 0.0)
-    solved = discrete_eigenvalues(params, V, tau_filter=below)
-    assert solved.eigensolve["eigenvector_route"] == "inverse_iteration"
+    solved, note = _solve(params, V, tau_filter=below)
+    assert note["route"] == "inverse_iteration"
     assert solved.to_dict() == eigenvalues_by_full_eig(params, V, tau_filter=below).to_dict()
 
 
@@ -278,8 +287,7 @@ def test_skipped_solve_still_checks_the_budget():
     V = Potential.from_array(Lattice(2, 16), np.zeros((16, 16)))
     with pytest.raises(BudgetExceeded):
         discrete_eigenvalues(LameParams(1.0, 1.0), V, tau_filter=1.0, budget_bytes=1_000_000)
-    assert discrete_eigenvalues(LameParams(1.0, 1.0), V, tau_filter=1.0).eigensolve[
-        "eigenvector_route"] == "numerical_range"
+    assert _solve(LameParams(1.0, 1.0), V, tau_filter=1.0)[1]["route"] == "numerical_range"
 
 
 def test_inverse_iteration_at_an_exact_eigenvalue():
@@ -319,33 +327,31 @@ def test_discrete_eigenvalues_rejects_bad_filters(tau_filter, tau_res):
 def test_bs_operator_rejects_ray():
     V, _ = _well_fixture(128)
     with pytest.raises(ValueError, match="within"):
-        BSOperator(WELL_PARAMS, V, 1.0)
+        bs_kernel(WELL_PARAMS, V, 1.0)
 
 
 def test_bs_bilinearity_in_potential():
     V, _ = _well_fixture(128)
     W = Potential.from_array(V.lattice, 2.0 * V.values)
     z = -2.0 + 0.5j
-    K1 = BSOperator(WELL_PARAMS, V, z)
-    K2 = BSOperator(WELL_PARAMS, W, z)
     rng = np.random.default_rng(2)
     g = random_vector_field(V.lattice, rng)
-    a = K2.apply(g).values
-    b = 2.0 * K1.apply(g).values
+    a = bs_apply(WELL_PARAMS, W, z, g).values
+    b = 2.0 * bs_apply(WELL_PARAMS, V, z, g).values
     assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-12
-    assert np.max(np.abs(K2.dense_matrix() - 2.0 * K1.dense_matrix())) < 1e-12
+    K1, K2 = bs_kernel(WELL_PARAMS, V, z), bs_kernel(WELL_PARAMS, W, z)
+    assert np.max(np.abs(K2 - 2.0 * K1)) < 1e-12
 
 
 def test_bs_dense_matches_matrix_free():
     V, _ = _well_fixture(64)
     z = -1.5 + 0.3j
-    K = BSOperator(WELL_PARAMS, V, z)
-    pts = K.support_points()
-    mat = K.dense_matrix()
+    pts = np.flatnonzero(V.support_mask.reshape(-1))
+    mat = bs_kernel(WELL_PARAMS, V, z)
     rng = np.random.default_rng(3)
     g = random_vector_field(V.lattice, rng)
     gflat = np.concatenate([g.values[c].reshape(-1)[pts] for c in range(1)])
-    out = K.apply(g)
+    out = bs_apply(WELL_PARAMS, V, z, g)
     oflat = np.concatenate([out.values[c].reshape(-1)[pts] for c in range(1)])
     assert np.max(np.abs(mat @ gflat - oflat)) < 1e-11
 
@@ -354,27 +360,27 @@ def test_bs_check_flags_eigenvalues():
     V, _ = _well_fixture(128)
     res = discrete_eigenvalues(WELL_PARAMS, V, tau_filter=0.5)
     for z in res.eigenvalues:
-        assert bs_check(WELL_PARAMS, V, complex(z)) < 1e-8
-    assert bs_check(WELL_PARAMS, V, -2.2 + 0.7j) > 1e-3
+        assert bs_check(bs_kernel(WELL_PARAMS, V, complex(z))) < 1e-8
+    assert bs_check(bs_kernel(WELL_PARAMS, V, -2.2 + 0.7j)) > 1e-3
 
 
 def test_bs_norm_at_least_one_at_eigenvalue():
     V, _ = _well_fixture(128)
     res = discrete_eigenvalues(WELL_PARAMS, V, tau_filter=0.5)
     z = complex(res.eigenvalues[0])
-    assert bs_norm(WELL_PARAMS, V, z) >= 1.0 - 1e-12
+    assert bs_norm(bs_kernel(WELL_PARAMS, V, z)) >= 1.0 - 1e-12
 
 
-def _bs_columns(K):
+def _bs_columns(params, V, z):
     """K applied matrix-free to each unit vector on the support, restricted to it."""
-    lat = K.lattice
-    pts = K.support_points()
+    lat = V.lattice
+    pts = np.flatnonzero(V.support_mask.reshape(-1))
     cols = []
     for c in range(lat.dim):
         for p in pts:
             e = np.zeros((lat.dim, lat.npoints), dtype=complex)
             e[c, p] = 1.0
-            out = K.apply(VectorField(lat, e.reshape((lat.dim,) + lat.shape)))
+            out = bs_apply(params, V, z, VectorField(lat, e.reshape((lat.dim,) + lat.shape)))
             cols.append(out.values.reshape(lat.dim, -1)[:, pts].reshape(-1))
     return np.array(cols).T
 
@@ -388,10 +394,10 @@ def test_bs_norm_is_top_singular_value_for_symmetric_potential():
     assert len(res) == 5
 
     def checked_norm(z):
-        K = BSOperator(params, V, z)
-        norm = bs_norm(params, V, z)
-        assert abs(norm - svdvals(K.dense_matrix())[0]) <= 1e-13 * norm
-        assert abs(norm - svdvals(_bs_columns(K))[0]) <= 1e-12 * norm
+        K = bs_kernel(params, V, z)
+        norm = bs_norm(K)
+        assert abs(norm - svdvals(K)[0]) <= 1e-13 * norm
+        assert abs(norm - svdvals(_bs_columns(params, V, z))[0]) <= 1e-12 * norm
         return norm
 
     for z in res.eigenvalues:
@@ -403,9 +409,10 @@ def test_bs_norm_is_top_singular_value_for_symmetric_potential():
 def test_bs_zero_potential():
     lat = Lattice(1, 16, 3.0)
     V = Potential.from_array(lat, np.zeros(16))
-    assert bs_norm(WELL_PARAMS, V, -1.0) == 0.0
-    assert bs_check(WELL_PARAMS, V, -1.0) == 1.0
-    assert BSOperator(WELL_PARAMS, V, -1.0).dense_matrix().shape == (0, 0)
+    K = bs_kernel(WELL_PARAMS, V, -1.0)
+    assert K.shape == (0, 0)
+    assert bs_norm(K) == 0.0
+    assert bs_check(K) == 1.0
 
 
 # -- resolvent norm estimates ------------------------------------------------
@@ -469,3 +476,7 @@ def test_estimate_validation():
         resolvent_norm_estimate(params, -1.0, ("lp_dual", 3.0), lat)
     with pytest.raises(ValueError, match="unknown norm pairing"):
         resolvent_norm_estimate(params, -1.0, ("hilbert_schmidt", 2.0), lat)
+    # a NaN exponent fails every comparison; it is refused before any iteration
+    for alpha in (-0.5, np.nan):
+        with pytest.raises(ValueError, match="weight exponent must be >= 0"):
+            resolvent_norm_estimate(params, -1.0, ("weighted_l2", alpha), lat)
