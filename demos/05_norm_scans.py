@@ -7,6 +7,7 @@ Scanning potentials with Morrey-Campanato, Kerman-Sawyer and A_p norms
 import numpy as np
 
 from lamespectra import trace
+from lamespectra.lame import Potential
 from lamespectra.lattice import Lattice, ScalarField
 from lamespectra.norms import (
     kerman_sayer_norm,
@@ -16,6 +17,7 @@ from lamespectra.norms import (
     norm_result,
 )
 from lamespectra.potentials import gaussian_bump, inverse_power
+from lamespectra.serialize import plain
 
 lat = Lattice(2, 16)
 V = gaussian_bump(lat, -8.0, 0.9)
@@ -39,7 +41,7 @@ print("A_2 constant      ", r.value, r.witness)
 # norms see it against the smooth bump with matching L^2 size
 spike = inverse_power(lat, 3.0, 1.0)
 scale = lp_norm(V, 2.0) / lp_norm(spike, 2.0)
-spike = type(spike).from_array(lat, scale * spike.values)
+spike = Potential(lat, scale * spike.values)
 for name, pot in (("bump ", V), ("spike", spike)):
     print(
         f"{name}: L2 {lp_norm(pot, 2.0):6.3f}  "
@@ -50,4 +52,4 @@ for name, pot in (("bump ", V), ("spike", spike)):
 # the uniform interface used by the command line passes a scan's result
 # through
 result = norm_result("morrey_campanato", V, alpha=1.0, p=1.2)
-print("\nas a record:", result.to_dict())
+print("\nas a record:", plain(result))

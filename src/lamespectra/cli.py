@@ -5,9 +5,12 @@ Each subcommand reads one YAML config, checked whole by
 files into an output directory.  The config fully determines the run; the
 only flag overrides are the output directory and the seed.  Outputs are
 byte-identical across reruns with the same config and seed.  Each command
-returns its report; :func:`main` runs it inside one :func:`trace.record` and
-writes the report, its ``*.meta.json`` sidecar (the trace and the
-environment) and one line to stdout.
+returns its result and a message; :func:`main` runs it inside one
+:func:`trace.record`, prints each distinct warning it raised once as a
+``warning:`` line, and writes the report, its ``*.meta.json`` sidecar (the
+trace, the warnings and the environment) and the message to stdout.  A
+command that fails with one of the exit codes below leaves only the
+sidecar, which then also holds the ``error``.
 
 Exit codes: 0 success, 2 invalid config or output directory, 3 hypothesis
 violation, 4 budget exceeded or out of memory.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +45,7 @@ EXIT_BUDGET = 4
 
 
 # -- subcommands: each takes the checked config and the output directory,
-# -- writes its data files and returns (report name, report, message) -------
+# -- writes its data files and returns (result, message) ---------------------
 
 
 def cmd_decompose(run, out: Path) -> tuple:
@@ -65,7 +69,7 @@ def cmd_decompose(run, out: Path) -> tuple:
         "divergence_residual": scalar_lp_norm(divergence(pair.solenoidal), 2.0),
         "recomposition_residual": vector_lp_norm(f - pair.total(), 2.0),
     }
-    return "decompose.json", report, f"decompose: pythagorean residual {pyth:.3e}"
+    return report, f"decompose: pythagorean residual {pyth:.3e}"
 
 
 def cmd_resolvent_check(run, out: Path) -> tuple:
@@ -81,11 +85,11 @@ def cmd_resolvent_check(run, out: Path) -> tuple:
             via_direct = resolvent_direct(params, z, g)
             num = vector_lp_norm(via_split - via_direct, 2.0)
             dev = max(dev, num / vector_lp_norm(via_direct, 2.0))
-        rows.append({"z": [z.real, z.imag], "max_rel_deviation": dev})
+        rows.append({"z": z, "max_rel_deviation": dev})
         worst = max(worst, dev)
     report = {"material": {"lambda": params.lam, "mu": params.mu}, "samples_per_z": samples,
               "checks": rows, "worst_rel_deviation": worst}
-    return "resolvent_check.json", report, f"resolvent-check: worst relative deviation {worst:.3e}"
+    return report, f"resolvent-check: worst relative deviation {worst:.3e}"
 
 
 def cmd_spectrum(run, out: Path) -> tuple:
@@ -93,7 +97,7 @@ def cmd_spectrum(run, out: Path) -> tuple:
     z = result.eigenvalues
     write_table(out / "eigenvalues.csv", ["index", "re", "im", "residual", "distance_to_ray"],
                 [range(len(z)), z.real, z.imag, result.residuals, result.distances])
-    return "spectrum.json", result.to_dict(), f"spectrum: {len(result)} eigenvalues kept"
+    return result, f"spectrum: {len(result)} eigenvalues kept"
 
 
 def cmd_bs_check(run, out: Path) -> tuple:
@@ -108,13 +112,11 @@ def cmd_bs_check(run, out: Path) -> tuple:
     rows = []
     for z in from_spectrum + run.bs["z_values"]:
         K = bs_kernel(params, V, z, budget_bytes=budget_bytes)
-        rows.append({"z": [z.real, z.imag], "eigenvalue_gap": bs_check(K),
-                     "operator_norm": bs_norm(K)})
+        rows.append({"z": z, "eigenvalue_gap": bs_check(K), "operator_norm": bs_norm(K)})
     report = {"material": {"lambda": params.lam, "mu": params.mu}, "checks": rows,
               "n_from_spectrum": len(from_spectrum)}
     worst = max((r["eigenvalue_gap"] for r in rows), default=0.0)
-    return ("bs_check.json", report,
-            f"bs-check: {len(rows)} points, worst |sigma + 1| gap {worst:.3e}")
+    return report, f"bs-check: {len(rows)} points, worst |sigma + 1| gap {worst:.3e}"
 
 
 def cmd_norms(run, out: Path) -> tuple:
@@ -125,8 +127,8 @@ def cmd_norms(run, out: Path) -> tuple:
                               **params)
         except ValueError as exc:
             raise ConfigError(f"norms[{i}]: {exc}") from exc
-        entries.append(res.to_dict())
-    return "norms.json", {"norms": entries}, f"norms: {len(entries)} computed"
+        entries.append(res)
+    return {"norms": entries}, f"norms: {len(entries)} computed"
 
 
 def cmd_enclosure(run, out: Path) -> tuple:
@@ -138,8 +140,7 @@ def cmd_enclosure(run, out: Path) -> tuple:
     write_table(out / "enclosure.csv", ["re", "im", "abs", "ratio", "verdict"],
                 [[w.real for w in z], [w.imag for w in z], [abs(w) for w in z],
                  report.ratios, report.verdicts])
-    return ("enclosure.json", report.to_dict(),
-            f"enclosure: {len(report.ratios)} eigenvalues against {spec.theorem}")
+    return report, f"enclosure: {len(report.ratios)} eigenvalues against {spec.theorem}"
 
 
 def cmd_calibrate(run, out: Path) -> tuple:
@@ -151,20 +152,21 @@ def cmd_calibrate(run, out: Path) -> tuple:
         result = calibrate_constant(spec, [(run.material, V) for V in potentials], **run.solver)
     except EmptyEnsemble as exc:
         raise ConfigError(f"calibration produced no usable members: {exc}") from exc
-    return ("calibration.json", result.to_dict(),
-            f"calibrate: C_emp = {result.value:.6g} over {ens['size']} members "
+    return (result, f"calibrate: C_emp = {result.value:.6g} over {ens['size']} members "
             f"[{result.fingerprint}]")
 
 
+# name: (command, report file name)
 COMMANDS = {
-    "decompose": cmd_decompose,
-    "resolvent-check": cmd_resolvent_check,
-    "spectrum": cmd_spectrum,
-    "bs-check": cmd_bs_check,
-    "norms": cmd_norms,
-    "enclosure": cmd_enclosure,
-    "calibrate": cmd_calibrate,
+    "decompose": (cmd_decompose, "decompose.json"),
+    "resolvent-check": (cmd_resolvent_check, "resolvent_check.json"),
+    "spectrum": (cmd_spectrum, "spectrum.json"),
+    "bs-check": (cmd_bs_check, "bs_check.json"),
+    "norms": (cmd_norms, "norms.json"),
+    "enclosure": (cmd_enclosure, "enclosure.json"),
+    "calibrate": (cmd_calibrate, "calibration.json"),
 }
+FAILURES = (ConfigError, HypothesisViolation, BudgetExceeded, MemoryError)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -173,7 +175,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Spectral experiments for perturbed elastic wave operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
+    for name, (fn, _) in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("-c", "--config", required=True, help="YAML experiment config")
         p.add_argument("-o", "--output", default=".", help="output directory (default: cwd)")
@@ -181,8 +183,40 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_status(exc) -> tuple:
+    """Exit code and ``error:`` message of a failure in :data:`FAILURES`."""
+    if isinstance(exc, MemoryError):
+        return EXIT_BUDGET, f"out of memory: {exc}"
+    code = (EXIT_CONFIG if isinstance(exc, ConfigError)
+            else EXIT_HYPOTHESIS if isinstance(exc, HypothesisViolation) else EXIT_BUDGET)
+    return code, str(exc)
+
+
+def _run(command, run, out: Path, report: Path) -> str:
+    """Run one command; write its report and sidecar, or on a failure only the sidecar."""
+    failure = None
+    with trace.record() as stages, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, message = command(run, out)
+        except FAILURES as exc:
+            failure = exc
+    notes = list(dict.fromkeys(str(w.message) for w in caught))
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
+    record = {"trace": stages, "warnings": notes}
+    if failure is not None:
+        code, text = _exit_status(failure)
+        write_metadata(report, {**record, "error": {"exit_code": code, "message": text}})
+        raise failure
+    write_report(result, report)
+    write_metadata(report, record)
+    return message
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    command, report = COMMANDS[args.command]
     try:
         run = check_config(load_config(args.config), args.command, seed=args.seed)
         out = Path(args.output)
@@ -191,19 +225,12 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create the output directory {args.output!r}: "
                               f"{exc.strerror}") from None
-        with trace.record() as stages:
-            name, report, message = COMMANDS[args.command](run, out)
-        write_report(report, out / name)
-        write_metadata(out / name, {"trace": stages})
-        print(message)
+        print(_run(command, run, out, out / report))
         return EXIT_OK
-    except (ConfigError, HypothesisViolation, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return (EXIT_CONFIG if isinstance(exc, ConfigError)
-                else EXIT_HYPOTHESIS if isinstance(exc, HypothesisViolation) else EXIT_BUDGET)
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except FAILURES as exc:
+        code, text = _exit_status(exc)
+        print(f"error: {text}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -143,7 +143,7 @@ def _potential(sec, where, lattice) -> Potential:
     if "csv" in sec:
         path = _keys(sec, {"csv": (_text, REQUIRED)}, where, lattice, "csv potential")["csv"]
         try:
-            return Potential(scalar_from_csv(lattice, path))
+            return Potential(lattice, scalar_from_csv(lattice, path).values)
         except (OSError, ValueError, IndexError) as exc:
             raise ConfigError(f"{where}.csv: {exc}") from None
     family = _one_of(*POTENTIAL_FAMILIES)(sec.get("family"), f"{where}.family")

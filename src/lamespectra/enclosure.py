@@ -224,7 +224,7 @@ def bound_rhs(spec: BoundSpec, params: LameParams, V: Potential,
                                      budget_bytes=budget_bytes).value ** q
     if spec.theorem == "T_KS":
         beta = spec.ks_beta(dim)
-        Vb = Potential.from_array(V.lattice, np.abs(V.values) ** beta)
+        Vb = Potential(V.lattice, np.abs(V.values) ** beta)
         ks = kerman_sayer_norm(Vb, spec.ks_alpha(dim), budget_bytes=budget_bytes)
         return ks.value ** (q / beta)
     if spec.theorem == "T_W":
@@ -232,7 +232,7 @@ def bound_rhs(spec: BoundSpec, params: LameParams, V: Potential,
         return weighted_lq_norm(V, qw, spec.alpha) ** qw
     # T_SA
     neg = np.maximum(-V.values.real, 0.0)
-    return lp_norm(Potential.from_array(V.lattice, neg), q) ** q
+    return lp_norm(Potential(V.lattice, neg), q) ** q
 
 
 def _a2_constant(V: Potential) -> float:
@@ -253,16 +253,6 @@ class EnclosureReport:
     ratios: tuple
     verdicts: tuple
     extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "bound_spec": self.bound_spec,
-            "rhs_value": self.rhs_value,
-            "eigenvalues_tested": [[z.real, z.imag] for z in self.eigenvalues_tested],
-            "ratios": list(self.ratios),
-            "verdicts": list(self.verdicts),
-            "extras": self.extras,
-        }
 
 
 def enclosure_report(spec: BoundSpec, params: LameParams, V: Potential,
@@ -327,15 +317,6 @@ class ScalingReport:
     def max_eigenvalue_error(self) -> float:
         return max(e["max_rel_eigenvalue_error"] for e in self.entries)
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "gamma": self.gamma,
-            "exponent": self.exponent,
-            "base_ratio": self.base_ratio,
-            "entries": list(self.entries),
-        }
-
 
 def scaling_exponent_test(params: LameParams, V: Potential, spec: BoundSpec,
                           scales=(0.5, 2.0), tau_filter: float | None = None,
@@ -371,7 +352,7 @@ def scaling_exponent_test(params: LameParams, V: Potential, spec: BoundSpec,
     for a in scales:
         a = float(a)
         lat_a = Lattice(dim, lat.n, lat.period / a)
-        V_a = Potential.from_array(lat_a, a * a * V.values)
+        V_a = Potential(lat_a, a * a * V.values)
         res_a = discrete_eigenvalues(params, V_a, tau_filter=a * a * tau_filter,
                                      tau_res=tau_res, budget_bytes=budget_bytes)
         errs = []
@@ -422,14 +403,6 @@ class CalibrationResult:
 
     def __float__(self) -> float:
         return self.value
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "fingerprint": self.fingerprint,
-            "bound_spec": self.bound_spec,
-            "members": list(self.members),
-        }
 
 
 def _ensemble_fingerprint(spec: BoundSpec, ensemble) -> str:

@@ -63,41 +63,27 @@ class LameParams:
         return self.lam + 2.0 * self.mu
 
 
-@dataclass(frozen=True)
-class Potential:
-    """Complex potential samples with support bookkeeping.
+class Potential(ScalarField):
+    """Complex potential samples with support bookkeeping; a finite :class:`ScalarField`.
 
     The support mask marks grid points where V is exactly nonzero; the
     Birman-Schwinger kernels are restricted to it.
     """
 
-    field: ScalarField
-
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.field.values)):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("potential has non-finite samples")
-
-    @classmethod
-    def from_array(cls, lattice: Lattice, values) -> "Potential":
-        return cls(ScalarField(lattice, values))
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.field.lattice
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.field.values
 
     @cached_property
     def support_mask(self) -> np.ndarray:
-        mask = self.field.values != 0.0
+        mask = self.values != 0.0
         mask.setflags(write=False)
         return mask
 
     @property
     def is_real(self) -> bool:
-        return bool(np.all(self.field.values.imag == 0.0))
+        return bool(np.all(self.values.imag == 0.0))
 
 
 def distance_to_ray(z):

@@ -305,7 +305,7 @@ def scalar_lp_norm(field, p: float) -> float:
     A vector field's components enter one sum together, which rounds
     differently from :func:`vector_lp_norm`'s per-component sums.
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     w = np.abs(field.values) ** p
     return float(np.sum(w) * field.lattice.cell_volume) ** (1.0 / p)
@@ -313,7 +313,7 @@ def scalar_lp_norm(field, p: float) -> float:
 
 def vector_lp_norm(field: VectorField, p: float) -> float:
     """Vector L^p norm (sum_j ||u_j||_p^p)^(1/p)."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     total = sum(scalar_lp_norm(c, p) ** p for c in field.components)
     return float(total) ** (1.0 / p)

@@ -55,14 +55,6 @@ class NormResult:
     value: float
     witness: dict | None = field(default=None)
 
-    def to_dict(self) -> dict:
-        return {
-            "norm_name": self.norm_name,
-            "params": self.params,
-            "value": float(self.value),
-            "witness": self.witness,
-        }
-
 
 def dyadic_level_max(n: int) -> int:
     """Number of exact halvings of n (equals log2 n for powers of two)."""
@@ -140,7 +132,7 @@ def lp_norm(V: Potential, p: float) -> float:
     """Quadrature L^p norm of the potential, p >= 1."""
     _check_lp(V.lattice.dim, p)
     with trace.stage("norm.lp"):
-        return scalar_lp_norm(V.field, p)
+        return scalar_lp_norm(V, p)
 
 
 def weighted_lq_norm(V: Potential, q: float, alpha: float) -> float:

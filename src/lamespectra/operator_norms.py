@@ -85,7 +85,7 @@ def lp_operator_norm(apply_op, apply_adjoint, start, p: float, q: float,
     adjoint, and the dual L^p' duality map; tracked ratios ||Kx||_q with
     ||x||_p = 1 are monotone in practice and the best one is returned.
     """
-    if p <= 1.0 or q <= 1.0:
+    if not (p > 1.0 and q > 1.0):
         raise ValueError("p and q must exceed 1")
     p_dual = p / (p - 1.0)
     cls = type(start)

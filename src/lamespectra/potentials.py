@@ -45,7 +45,7 @@ def gaussian_bump(lattice: Lattice, amplitude: complex, width: float,
     r, _ = _centered_radii(lattice, center)
     values = amplitude * np.exp(-(r**2) / (2.0 * width**2))
     values[r > support_radius] = 0.0
-    return Potential.from_array(lattice, values)
+    return Potential(lattice, values)
 
 
 def square_well(lattice: Lattice, depth: complex, half_width: float,
@@ -53,7 +53,7 @@ def square_well(lattice: Lattice, depth: complex, half_width: float,
     """V = -depth on the box |x-c|_inf <= half_width, zero outside."""
     _, r_inf = _centered_radii(lattice, center)
     values = np.where(r_inf <= half_width, -depth, 0.0).astype(complex)
-    return Potential.from_array(lattice, values)
+    return Potential(lattice, values)
 
 
 def inverse_power(lattice: Lattice, amplitude: complex, exponent: float,
@@ -70,7 +70,7 @@ def inverse_power(lattice: Lattice, amplitude: complex, exponent: float,
     r, _ = _centered_radii(lattice, center)
     values = amplitude * (r**2 + core**2) ** (-exponent / 2.0)
     values[r > cutoff_radius] = 0.0
-    return Potential.from_array(lattice, values)
+    return Potential(lattice, values)
 
 
 def _random_center(lattice: Lattice, rng: np.random.Generator, jitter: float):

@@ -1,14 +1,16 @@
 """Deterministic file output: CSV for sampled fields, JSON for reports.
 
 Reports are byte-stable across reruns (sorted keys, fixed float repr, no
-embedded timestamps).  Run metadata that legitimately varies, like wall-clock
-time and the environment, goes to a sidecar ``<name>.meta.json`` so the main
-artifact can be diffed or hashed.
+embedded timestamps); :func:`plain` gives the JSON data of any result.  Run
+metadata that legitimately varies, like wall-clock time and the environment,
+goes to a sidecar ``<name>.meta.json`` so the main artifact can be diffed or
+hashed.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import time
@@ -29,6 +31,7 @@ __all__ = [
     "write_report",
     "read_report",
     "write_metadata",
+    "plain",
 ]
 
 SCHEMA_VERSION = 1
@@ -114,10 +117,28 @@ def vector_from_csv(lattice: Lattice, path) -> VectorField:
     return VectorField(lattice, flat.reshape((lattice.dim,) + lattice.shape))
 
 
-def write_report(payload: dict, path) -> None:
-    """Write a JSON report with sorted keys and a schema version stamp."""
+def plain(obj):
+    """JSON data of a result: a dataclass becomes a dict of its fields, arrays and
+    tuples lists, complex numbers ``[re, im]`` floats, numpy scalars Python ones."""
+    if type(obj) in (str, float, int, bool, type(None)):
+        return obj
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(value) for value in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return plain(obj.tolist())
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj  # json.dumps rejects what is left
+
+
+def write_report(payload, path) -> None:
+    """Write ``plain(payload)``, a dict, as JSON with sorted keys and a schema version stamp."""
     doc = {"schema_version": SCHEMA_VERSION}
-    doc.update(payload)
+    doc.update(plain(payload))
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=True)
     Path(path).write_text(text + "\n")
 

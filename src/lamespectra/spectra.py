@@ -195,14 +195,6 @@ class SpectralResult:
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
-            "residuals": [float(r) for r in self.residuals],
-            "distances": [float(d) for d in self.distances],
-            "solver_info": self.solver_info,
-        }
-
 
 def _vector_from_flat(lattice: Lattice, vec: np.ndarray) -> VectorField:
     return VectorField(lattice, vec.reshape((lattice.dim,) + lattice.shape))

@@ -161,7 +161,7 @@ def _bs_fixtures():
     L = lat3.period
     g1 = gaussian_bump(lat3, -35.0, 0.55, center=(L / 2 - 0.4, L / 2))
     g2 = gaussian_bump(lat3, -18.0, 0.75, center=(L / 2 + 0.7, L / 2 + 0.3))
-    lopsided = Potential.from_array(lat3, g1.values + g2.values)
+    lopsided = Potential(lat3, g1.values + g2.values)
 
     # centred radial bump: degenerate eigenvalues and singular values of K
     symmetric = gaussian_bump(lat3, -35.0, 0.55)
@@ -300,7 +300,7 @@ def test_criterion_08_norm_scans_match_brute_force():
         lat = Lattice(dim, n, float(n))
         shape = lat.shape
         vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        V = Potential.from_array(lat, vals)
+        V = Potential(lat, vals)
         # keep the raw real array: the oracle must see float64, not the
         # complex field storage, or the pow kernels diverge in the last ulp
         w_vals = np.abs(rng.normal(size=shape)) + 0.2
@@ -396,7 +396,7 @@ def _dipole_member(lat, k):
     real = gaussian_bump(lat, -B, w, center=c, support_radius=sr)
     plus = gaussian_bump(lat, kap, w, center=c + delta * e, support_radius=sr)
     minus = gaussian_bump(lat, kap, w, center=c - delta * e, support_radius=sr)
-    return Potential.from_array(lat, real.values + 1j * (plus.values - minus.values))
+    return Potential(lat, real.values + 1j * (plus.values - minus.values))
 
 
 def _calibration_specs():

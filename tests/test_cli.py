@@ -318,6 +318,35 @@ def test_norms_ks_budget_exit_code(tmp_path, capsys):
     assert "budget is 2.0 MB" in err
 
 
+def test_failed_run_leaves_its_sidecar(tmp_path, capsys):
+    # the L^p norm finishes, the Kerman-Sayer scan exceeds the budget: the
+    # sidecar keeps the finished stage and the error, and no report is written
+    cfg = _write(tmp_path, KS_3D_CONFIG.replace("norms:\n", "norms:\n  - {name: lp, p: 2.0}\n")
+                 + "solver: {budget_bytes: 2000000}\n")
+    out = tmp_path / "o"
+    assert main(["norms", "-c", cfg, "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    meta = _json(out, "norms.json.meta.json")
+    assert [s["stage"] for s in meta["trace"]] == ["norm.lp"]
+    assert meta["error"] == {"exit_code": 4, "message": err.removeprefix("error: ").rstrip("\n")}
+    assert meta["warnings"] == []
+    assert not (out / "norms.json").exists()
+
+
+def test_warnings_reach_the_user_as_messages(tmp_path, capsys):
+    # an A_p weight with zero cells warns once; the CLI prints the message
+    # alone, without the warning's source line, and records it in the sidecar
+    cfg = _write(tmp_path, "lattice: {dim: 2, points: 16}\n"
+                 "potential: {family: well, depth: 5.0, half_width: 1.0}\n"
+                 "norms: [{name: muckenhoupt, p: 2.0}]\n")
+    out = tmp_path / "o"
+    assert main(["norms", "-c", cfg, "-o", str(out)]) == 0
+    message = "weight vanishes on 231 cells; flooring at 1e-12"
+    err = capsys.readouterr().err
+    assert err == f"warning: {message}\n"
+    assert _json(out, "norms.json.meta.json")["warnings"] == [message]
+
+
 def test_calibrate_ks_scan_honours_budget(tmp_path, capsys):
     # the right-hand side is computed before the dense solve, so the KS scan
     # must refuse first rather than allocate past the configured budget
@@ -534,9 +563,13 @@ def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr("lamespectra.cli.helmholtz_decompose", refuse)
     cfg = _write(tmp_path, "lattice: {dim: 1, points: 16}\n")
-    assert main(["decompose", "-c", cfg, "-o", str(tmp_path / "o")]) == 4
+    out = tmp_path / "o"
+    assert main(["decompose", "-c", cfg, "-o", str(out)]) == 4
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 24.0 TiB for an array\n"
+    assert _json(out, "decompose.json.meta.json")["error"] == {
+        "exit_code": 4, "message": "out of memory: Unable to allocate 24.0 TiB for an array"}
+    assert [p.name for p in out.iterdir()] == ["decompose.json.meta.json"]
 
 
 def _demo_08_config() -> dict:

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from lamespectra import config
+from lamespectra.cli import main
 from lamespectra.config import (
     POTENTIAL_FAMILIES,
     SCHEMA,
@@ -191,4 +192,24 @@ def test_docs_table_lists_every_config_key():
     keys |= {f"norms[].{k}" for params in NORM_PARAMS.values() for k in params}
     docs = (Path(__file__).resolve().parents[1] / "docs" / "file_formats.md").read_text()
     table = docs.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^\| `([^`]+)` \|", table, re.M)) == keys
+
+
+def test_docs_table_lists_every_sidecar_key(tmp_path):
+    # a success sidecar and a failure sidecar hold the keys docs/file_formats.md
+    # lists in the first table under "Sidecars"
+    base = ("lattice: {dim: 1, points: 16}\n"
+            "potential: {family: gaussian, amplitude: 1.0, width: 0.7}\n")
+    runs = {"ok": ("norms: [{name: lp, p: 2.0}]\n", 0),
+            "failed": ("norms: [{name: kerman_sayer, alpha: 0.5}]\nsolver: {budget_bytes: 1}\n", 4)}
+    keys = set()
+    for name, (extra, code) in runs.items():
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(base + extra)
+        assert main(["norms", "-c", str(cfg), "-o", str(tmp_path / name)]) == code
+        keys |= set(json.loads((tmp_path / name / "norms.json.meta.json").read_text()))
+    assert {"error", "warnings"} <= keys
+    docs = (Path(__file__).resolve().parents[1] / "docs" / "file_formats.md").read_text()
+    section = docs.split("## Sidecars", 1)[1].split("\n## ", 1)[0]
+    table = section[section.index("\n|"):].split("\n\n", 1)[0]
     assert set(re.findall(r"^\| `([^`]+)` \|", table, re.M)) == keys

@@ -17,6 +17,7 @@ from lamespectra.lame import LameParams, Potential
 from lamespectra.lattice import Lattice
 from lamespectra.norms import kerman_sayer_norm, lp_norm, weighted_lq_norm
 from lamespectra.potentials import gaussian_bump, square_well
+from lamespectra.serialize import plain
 from lamespectra.spectra import BudgetExceeded, SpectralResult, discrete_eigenvalues
 
 PARAMS = LameParams(0.5, 1.0)
@@ -101,7 +102,7 @@ def test_tsa_validator():
     V = _complex_gaussian_1d()
     with pytest.raises(HypothesisViolation, match="real-valued"):
         BoundSpec("T_SA", 0.5).validate(1, V)
-    W = Potential.from_array(V.lattice, V.values.real)
+    W = Potential(V.lattice, V.values.real)
     BoundSpec("T_SA", 0.5).validate(1, W)
 
 
@@ -171,7 +172,7 @@ def test_tks_rhs_uses_beta_power():
     V = _real_potential_2d()
     spec = BoundSpec("T_KS", 0.4)
     beta = spec.ks_beta(2)
-    Vb = Potential.from_array(V.lattice, np.abs(V.values) ** beta)
+    Vb = Potential(V.lattice, np.abs(V.values) ** beta)
     expected = kerman_sayer_norm(Vb, spec.ks_alpha(2)).value ** (spec.sobolev_exponent(2) / beta)
     assert bound_rhs(spec, PARAMS, V) == expected
 
@@ -186,13 +187,13 @@ def test_tw_rhs():
 def test_tsa_rhs_negative_part():
     lat = Lattice(1, 16, 4.0)
     vals = np.array([0.0] * 6 + [-3.0, 2.0, -1.0] + [0.0] * 7)
-    V = Potential.from_array(lat, vals)
+    V = Potential(lat, vals)
     spec = BoundSpec("T_SA", 0.5)
     q = 1.0
     expected = (3.0 + 1.0) * lat.cell_volume  # ||V_-||_1^1
     assert abs(bound_rhs(spec, PARAMS, V) - expected) < 1e-13
     # repulsive potentials have vanishing negative part
-    W = Potential.from_array(lat, np.abs(vals))
+    W = Potential(lat, np.abs(vals))
     assert bound_rhs(spec, PARAMS, W) == 0.0
 
 
@@ -207,7 +208,7 @@ def test_enclosure_report_t1d_well():
     assert len(report.verdicts) == len(res) > 0
     assert all(v == "inside" for v in report.verdicts)
     assert all(r <= 1.0 for r in report.ratios)
-    d = report.to_dict()
+    d = plain(report)
     assert d["bound_spec"] == {"theorem": "T1d", "gamma": 0.5}
     assert len(d["eigenvalues_tested"]) == len(res)
 
@@ -227,7 +228,7 @@ def test_enclosure_report_margin_and_outside():
 
 def test_enclosure_report_vanishing_rhs_gives_inf():
     lat = Lattice(1, 16, 4.0)
-    V = Potential.from_array(lat, np.full(16, 2.0))  # repulsive, V_- = 0
+    V = Potential(lat, np.full(16, 2.0))  # repulsive, V_- = 0
     fake = SpectralResult(np.array([-1.0 + 0j]), np.zeros(1), np.ones(1), {})
     report = enclosure_report(BoundSpec("T_SA", 0.5), PARAMS, V, fake)
     assert report.rhs_value == 0.0
@@ -309,7 +310,7 @@ def test_calibrate_scaling_closure():
     scaled = []
     for a in (0.5, 2.0):
         lat_a = Lattice(1, V.lattice.n, V.lattice.period / a)
-        scaled.append((PARAMS, Potential.from_array(lat_a, a * a * V.values)))
+        scaled.append((PARAMS, Potential(lat_a, a * a * V.values)))
     both = calibrate_constant(spec, [(PARAMS, V)] + scaled)
     assert abs(both.value - base.value) < 1e-13 * base.value
     assert float(base) == base.value
@@ -327,7 +328,7 @@ def test_calibrate_records_members():
         assert m["best_ratio"] is not None
     assert result.value == max(m["best_ratio"] for m in result.members)
     assert len(result.fingerprint) == 16
-    d = result.to_dict()
+    d = plain(result)
     assert d["bound_spec"] == {"theorem": "T1d", "gamma": 0.5}
 
 
@@ -353,7 +354,7 @@ def test_calibrate_empty_paths():
     with pytest.raises(EmptyEnsemble, match="at least one"):
         calibrate_constant(BoundSpec("T1d", 0.5), [])
     lat = Lattice(1, 16, 4.0)
-    zero = Potential.from_array(lat, np.zeros(16))
+    zero = Potential(lat, np.zeros(16))
     with pytest.raises(EmptyEnsemble, match="no ensemble member"):
         calibrate_constant(BoundSpec("T1d", 0.5), [(PARAMS, zero)])
 

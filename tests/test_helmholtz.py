@@ -131,6 +131,8 @@ def test_riesz_norm_bound_rejects_bad_p():
         riesz_norm_bound(1.0)
     with pytest.raises(ValueError):
         riesz_norm_bound(0.5)
+    with pytest.raises(ValueError):
+        riesz_empirical_norm(Lattice(2, 8), 0, float("nan"))
 
 
 def test_splitting_bound_formula():

@@ -255,13 +255,14 @@ def test_potential_wrapper():
     lat = Lattice(1, 8, 4.0)
     vals = np.zeros(8, dtype=complex)
     vals[2:5] = -3.0 + 1.0j
-    V = Potential.from_array(lat, vals)
+    V = Potential(lat, vals)
+    assert isinstance(V, ScalarField)
     assert not V.is_real
     assert V.support_mask.sum() == 3
-    W = Potential.from_array(lat, np.zeros(8))
+    W = Potential(lat, np.zeros(8))
     assert W.is_real
     with pytest.raises(ValueError):
-        Potential.from_array(lat, np.full(8, np.nan))
+        Potential(lat, np.full(8, np.nan))
 
 
 def test_apply_perturbed_adds_multiplication():
@@ -270,10 +271,10 @@ def test_apply_perturbed_adds_multiplication():
     rng = np.random.default_rng(5)
     u = random_vector_field(lat, rng)
     vals = rng.normal(size=lat.shape) + 1j * rng.normal(size=lat.shape)
-    V = Potential.from_array(lat, vals)
+    V = Potential(lat, vals)
     out = apply_perturbed(params, V, u)
     manual = apply_lame(params, u).values + vals[None] * u.values
     assert np.max(np.abs(out.values - manual)) < 1e-12
-    other = Potential.from_array(Lattice(2, 8, 3.0), vals)
+    other = Potential(Lattice(2, 8, 3.0), vals)
     with pytest.raises(ValueError):
         apply_perturbed(params, other, u)

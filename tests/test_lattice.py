@@ -206,6 +206,15 @@ def test_vector_lp_norm_is_component_sum():
     assert_allclose(vector_lp_norm(u, p), manual, rtol=1e-13)
 
 
+@pytest.mark.parametrize("p", [0.5, float("nan")])
+def test_lp_norms_reject_bad_exponents(p):
+    u = random_vector_field(Lattice(1, 8), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        scalar_lp_norm(u.component(0), p)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        vector_lp_norm(u, p)
+
+
 def test_l2_inner_matches_norm():
     lat = Lattice(2, 8, 3.0)
     rng = np.random.default_rng(5)

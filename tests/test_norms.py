@@ -21,6 +21,7 @@ from lamespectra.config import lattice_from_config, potential_from_config
 from lamespectra.lame import Potential
 from lamespectra.lattice import BudgetExceeded, Lattice, ScalarField
 from lamespectra.potentials import gaussian_bump
+from lamespectra.serialize import plain
 from lamespectra.norms import (
     _KS_LEAF,
     _ks_bytes,
@@ -49,7 +50,7 @@ def _random_potential(dim, n, seed, period=2.0):
     rng = np.random.default_rng(seed)
     lat = Lattice(dim, n, period)
     vals = rng.normal(size=lat.shape) + 1j * rng.normal(size=lat.shape)
-    return Potential.from_array(lat, vals)
+    return Potential(lat, vals)
 
 
 def _found(r):
@@ -78,7 +79,7 @@ def test_dyadic_radius_exponents():
 
 def test_lp_norm_hand_value():
     lat = Lattice(1, 4, 2.0)
-    V = Potential.from_array(lat, np.array([1.0, -2.0, 0.0, 2.0]))
+    V = Potential(lat, np.array([1.0, -2.0, 0.0, 2.0]))
     assert abs(lp_norm(V, 1.0) - 2.5) < 1e-15
     assert abs(lp_norm(V, 2.0) - np.sqrt(4.5)) < 1e-15
     with pytest.raises(ValueError):
@@ -245,7 +246,7 @@ def test_ks_two_cell_hand_value():
     vals = np.zeros(4)
     vals[0] = 3.0
     vals[2] = 1.0
-    V = Potential.from_array(lat, vals)
+    V = Potential(lat, vals)
     expected = 2.0 * 3.0 * 1.0 * 2.0 ** (0.5 - 1.0) / 4.0
     assert abs(kerman_sayer_norm(V, 0.5).value - expected) < 1e-15
 
@@ -254,7 +255,7 @@ def test_ks_single_cell_is_zero():
     lat = Lattice(2, 4)
     vals = np.zeros((4, 4))
     vals[1, 2] = 5.0
-    V = Potential.from_array(lat, vals)
+    V = Potential(lat, vals)
     assert kerman_sayer_norm(V, 0.5).value == 0.0
 
 
@@ -271,7 +272,7 @@ def test_ks_witness_reproduces_value():
     vals = np.zeros((8, 8))
     vals[4:6, 2:4] = 5.0
     vals[0, 7] = 3.0
-    V = Potential.from_array(Lattice(2, 8), vals)
+    V = Potential(Lattice(2, 8), vals)
     value, witness = _found(kerman_sayer_norm(V, 0.8))
     assert witness == {"level": 1, "corner": [4, 0], "side": 4}
     assert (value, witness) == ks_norm_dense(V, 0.8)
@@ -438,7 +439,7 @@ def _centred_gaussian(dim, n):
     # maxima are reached by several candidates exactly.
     lat = Lattice(dim, n)
     r2 = np.sum((np.indices(lat.shape) - (n - 1) / 2) ** 2, axis=0)
-    return Potential.from_array(lat, -3.0 * np.exp(-0.2 * r2))
+    return Potential(lat, -3.0 * np.exp(-0.2 * r2))
 
 
 def _square_well(dim, n, half_width, depth=-4.0):
@@ -447,7 +448,7 @@ def _square_well(dim, n, half_width, depth=-4.0):
     lat = Lattice(dim, n)
     vals = np.zeros(lat.shape)
     vals[(slice(n // 2 - half_width, n // 2 + half_width),) * dim] = depth
-    return Potential.from_array(lat, vals)
+    return Potential(lat, vals)
 
 
 SCAN_FIXTURES = {
@@ -456,7 +457,7 @@ SCAN_FIXTURES = {
     "well-2d-16": lambda: _square_well(2, 16, 4),
     "well-2d-16-inexact": lambda: _square_well(2, 16, 4, depth=-3.7),
     "well-2d-16-narrow": lambda: _square_well(2, 16, 1),
-    "zero-2d-8": lambda: Potential.from_array(Lattice(2, 8), np.zeros((8, 8))),
+    "zero-2d-8": lambda: Potential(Lattice(2, 8), np.zeros((8, 8))),
     "random-2d-32": lambda: _random_potential(2, 32, 23),
 }
 
@@ -487,11 +488,11 @@ def _mirror_wells(dim, n):
     inner = (slice(n // 2 - 1, n // 2 + 1),) * (dim - 1)
     vals[inner + (slice(lo, hi),)] = -4.0
     vals[inner + (slice(n - hi, n - lo),)] = -4.0
-    return Potential.from_array(lat, vals)
+    return Potential(lat, vals)
 
 
 DEGENERATE = {
-    "constant": lambda dim, n: Potential.from_array(Lattice(dim, n), np.full((n,) * dim, -2.5)),
+    "constant": lambda dim, n: Potential(Lattice(dim, n), np.full((n,) * dim, -2.5)),
     "mirror-wells": _mirror_wells,
     "centred-gaussian": _centred_gaussian,
 }
@@ -565,7 +566,7 @@ def test_full_size_pool_entry_bitwise(key):
     got = []
     for req in cfg["norms"]:
         kwargs = {k: float(v) for k, v in req.items() if k != "name"}
-        got.append(norm_result(req["name"], V, **kwargs).to_dict())
+        got.append(plain(norm_result(req["name"], V, **kwargs)))
     assert got == entry["expected"]["norms"]
 
 
@@ -664,7 +665,7 @@ def test_norm_result_dispatch():
     w = ScalarField(V.lattice, np.abs(V.values))
     assert r == muckenhoupt_constant(w, 2.0)
 
-    d = r.to_dict()
+    d = plain(r)
     assert d["norm_name"] == "muckenhoupt"
     assert d["value"] == r.value
 
@@ -685,7 +686,7 @@ def test_norm_result_dispatch():
 @given(c=st.floats(min_value=0.05, max_value=20.0), seed=st.integers(0, 50))
 def test_norm_homogeneity(c, seed):
     V = _random_potential(1, 8, seed)
-    W = Potential.from_array(V.lattice, c * V.values)
+    W = Potential(V.lattice, c * V.values)
     assert abs(lp_norm(W, 2.0) - c * lp_norm(V, 2.0)) < 1e-10 * max(1.0, c)
     mc_v = morrey_campanato_norm(V, 0.5, 1.0).value
     mc_w = morrey_campanato_norm(W, 0.5, 1.0).value

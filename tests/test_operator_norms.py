@@ -109,3 +109,7 @@ def test_lp_norm_rejects_bad_exponents():
         lp_operator_norm(ident, ident, start, 1.0, 2.0)
     with pytest.raises(ValueError):
         lp_operator_norm(ident, ident, start, 2.0, 0.5)
+    with pytest.raises(ValueError):
+        lp_operator_norm(ident, ident, start, float("nan"), 2.0)
+    with pytest.raises(ValueError):
+        lp_operator_norm(ident, ident, start, 2.0, float("nan"))

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lamespectra.lattice import (
 )
 from lamespectra.serialize import (
     SCHEMA_VERSION,
+    plain,
     read_report,
     scalar_from_csv,
     scalar_to_csv,
@@ -159,6 +161,31 @@ def test_reports_are_byte_stable(tmp_path):
     text = p1.read_text()
     assert text.index('"a"') < text.index('"b"') < text.index('"schema_version"')
     assert text.endswith("\n")
+
+
+@dataclass(frozen=True)
+class _Inner:
+    z: complex
+    witness: dict | None
+
+
+@dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    pair: tuple
+    samples: np.ndarray
+
+
+def test_plain_gives_json_data():
+    obj = _Outer(_Inner(np.complex128(1.5 - 2j), None), (np.float64(0.25), np.int64(3)),
+                 np.array([1 + 2j, 0.5 - 0.5j]))
+    got = plain({"result": obj, "z": 3 + 4j, "flags": [True, "text"]})
+    assert got == {"result": {"inner": {"z": [1.5, -2.0], "witness": None},
+                              "pair": [0.25, 3], "samples": [[1.0, 2.0], [0.5, -0.5]]},
+                   "z": [3.0, 4.0], "flags": [True, "text"]}
+    leaves = [got["result"]["inner"]["z"][0], *got["result"]["pair"], *got["result"]["samples"][0]]
+    assert [type(v) for v in leaves] == [float, float, int, float, float]
+    assert json.loads(json.dumps(got)) == got
 
 
 def test_metadata_sidecar(tmp_path):

@@ -12,6 +12,7 @@ from lamespectra.lame import LameParams, Potential, apply_lame, apply_perturbed
 from lamespectra.lattice import Lattice, VectorField, random_vector_field
 from lamespectra.norms import polynomial_weight
 from lamespectra.potentials import gaussian_bump, random_ensemble, square_well
+from lamespectra.serialize import plain
 from lamespectra.spectra import (
     _EIG_FALLBACK,
     _dense_peak_bytes,
@@ -73,7 +74,7 @@ def test_dense_operator_matrix_action():
     params = LameParams(0.5, 1.0)
     rng = np.random.default_rng(1)
     vals = rng.normal(size=32) + 1j * rng.normal(size=32)
-    V = Potential.from_array(lat, vals)
+    V = Potential(lat, vals)
     A = dense_operator_matrix(params, V)
     u = random_vector_field(lat, rng)
     direct = apply_perturbed(params, V, u).values.reshape(-1)
@@ -131,7 +132,7 @@ def test_dense_peak_matches_model():
     for order, tau_filter, route in ((512, 509.5, "inverse_iteration"),
                                      (1152, 1149.5, "inverse_iteration"),
                                      (512, 0.5, "eig")):
-        V = Potential.from_array(Lattice(1, order, 1e200), -1.0 - np.arange(order))
+        V = Potential(Lattice(1, order, 1e200), -1.0 - np.arange(order))
         tracemalloc.start()
         try:
             res, note = _solve(params, V, tau_filter=tau_filter)
@@ -164,7 +165,7 @@ def test_width_and_default_thresholds():
 
 def test_free_operator_has_no_discrete_eigenvalues():
     lat = Lattice(1, 32, 5.0)
-    V = Potential.from_array(lat, np.zeros(32))
+    V = Potential(lat, np.zeros(32))
     res = discrete_eigenvalues(LameParams(1.0, 1.0), V)
     assert len(res) == 0
     info = res.solver_info
@@ -204,7 +205,7 @@ def test_result_invariants_and_dict():
     assert np.all(res.residuals < tau_res)
     assert np.all(res.distances > tau_filter)
     assert np.all(np.diff(res.eigenvalues.real) >= 0)
-    d = res.to_dict()
+    d = plain(res)
     assert len(d["eigenvalues"]) == len(res)
     info = d["solver_info"]
     assert info["tau_filter"] == tau_filter
@@ -220,7 +221,7 @@ def _fast_route_cases():
              for i, (params, V, tau) in enumerate(_bs_fixtures())]
     V, _ = _well_fixture(128)
     cases.append(pytest.param(WELL_PARAMS, V, 0.5, lu, id="well-128"))
-    zero = Potential.from_array(Lattice(1, 32, 5.0), np.zeros(32))
+    zero = Potential(Lattice(1, 32, 5.0), np.zeros(32))
     # every eigenvalue of -Delta* lies on the ray: the numerical range skips the solve
     cases.append(pytest.param(LameParams(1.0, 1.0), zero, None, "numerical_range", id="zero"))
     cases.append(pytest.param(LameParams(0.0, 0.5), gaussian_bump(Lattice(1, 128, 20.0), -12.0, 1.5),
@@ -258,7 +259,7 @@ def _range_cases():
                         (Lattice(2, 6, 3.0), LameParams(-1.5, 1.0)),
                         (Lattice(3, 4), LameParams(1.0, 0.5))):
         values = 20.0 * (rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape))
-        cases.append(pytest.param(params, Potential.from_array(lat, values),
+        cases.append(pytest.param(params, Potential(lat, values),
                                   id=f"random-{lat.dim}d"))
     cases += [pytest.param(params, V, id=f"bs-fixture-{i}")
               for i, (params, V, _) in enumerate(_bs_fixtures())]
@@ -274,17 +275,17 @@ def test_numerical_range_bounds_every_eigenvalue(params, V):
     # at the reach the solve is skipped, and the report is the full path's
     skipped, note = _solve(params, V, tau_filter=reach)
     assert (note["route"], note["lu_solves"]) == ("numerical_range", 0)
-    assert skipped.to_dict() == eigenvalues_by_full_eig(params, V, tau_filter=reach).to_dict()
+    assert plain(skipped) == plain(eigenvalues_by_full_eig(params, V, tau_filter=reach))
     assert skipped.solver_info["rejected_by_distance"] == skipped.solver_info["matrix_order"]
     # just below it the solve runs
     below = np.nextafter(reach, 0.0)
     solved, note = _solve(params, V, tau_filter=below)
     assert note["route"] == "inverse_iteration"
-    assert solved.to_dict() == eigenvalues_by_full_eig(params, V, tau_filter=below).to_dict()
+    assert plain(solved) == plain(eigenvalues_by_full_eig(params, V, tau_filter=below))
 
 
 def test_skipped_solve_still_checks_the_budget():
-    V = Potential.from_array(Lattice(2, 16), np.zeros((16, 16)))
+    V = Potential(Lattice(2, 16), np.zeros((16, 16)))
     with pytest.raises(BudgetExceeded):
         discrete_eigenvalues(LameParams(1.0, 1.0), V, tau_filter=1.0, budget_bytes=1_000_000)
     assert _solve(LameParams(1.0, 1.0), V, tau_filter=1.0)[1]["route"] == "numerical_range"
@@ -332,7 +333,7 @@ def test_bs_operator_rejects_ray():
 
 def test_bs_bilinearity_in_potential():
     V, _ = _well_fixture(128)
-    W = Potential.from_array(V.lattice, 2.0 * V.values)
+    W = Potential(V.lattice, 2.0 * V.values)
     z = -2.0 + 0.5j
     rng = np.random.default_rng(2)
     g = random_vector_field(V.lattice, rng)
@@ -408,7 +409,7 @@ def test_bs_norm_is_top_singular_value_for_symmetric_potential():
 
 def test_bs_zero_potential():
     lat = Lattice(1, 16, 3.0)
-    V = Potential.from_array(lat, np.zeros(16))
+    V = Potential(lat, np.zeros(16))
     K = bs_kernel(WELL_PARAMS, V, -1.0)
     assert K.shape == (0, 0)
     assert bs_norm(K) == 0.0
