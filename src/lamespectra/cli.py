@@ -19,6 +19,7 @@ violation, 4 budget exceeded or out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -169,6 +170,7 @@ COMMANDS = {
 FAILURES = (ConfigError, HypothesisViolation, BudgetExceeded, MemoryError)
 
 
+@functools.cache  # built once per process; each parse_args returns a new Namespace
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lamespectra",

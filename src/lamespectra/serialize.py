@@ -151,8 +151,11 @@ def write_metadata(path, extra: dict | None = None) -> Path:
     """Write the varying run info and environment next to ``path``; return the sidecar."""
     sidecar = Path(str(path) + ".meta.json")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    # the dense eigensolves and LUs run in scipy's LAPACK, which may be another library
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     env = {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas.get("name"),
-           "blas_version": blas.get("version"), "cpu_count": os.cpu_count(),
+           "blas_version": blas.get("version"), "lapack": lapack.get("name"),
+           "lapack_version": lapack.get("version"), "cpu_count": os.cpu_count(),
            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
     doc = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "artifact": Path(path).name,
            "environment": env}

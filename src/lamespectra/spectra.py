@@ -13,6 +13,10 @@ model, :func:`_dense_peak_bytes`, counts what assembly plus solve really
 hold: the operator matrix and one Fortran-ordered work matrix of the same
 size, which LAPACK overwrites.  It is skipped when the numerical range shows
 that no eigenvalue can pass the distance filter (:func:`_ray_reach`).
+
+``scipy.linalg`` is imported inside the three functions that call LAPACK,
+:func:`_dense_peak_bytes` (so every budget check), :func:`_inverse_iteration`
+and :func:`discrete_eigenvalues`, so the FFT-only commands never load it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.linalg
 
 from . import trace
 from .lame import (
@@ -90,6 +93,8 @@ def _dense_peak_bytes(order: int) -> int:
     eigenvalues, ``rwork`` and the vectors in flight.  Assembly alone holds
     one matrix plus the int64 offset table and stays below this.
     """
+    import scipy.linalg
+
     geev_lwork = scipy.linalg.get_lapack_funcs("geev_lwork", dtype=np.complex128)
     lwork, _ = geev_lwork(order, compute_vl=1, compute_vr=0)
     return 32 * order * order + 16 * int(lwork.real) + 256 * order
@@ -230,15 +235,17 @@ def _package(params, V, pairs, tau_filter, tau_res, info, unsolved=0) -> Spectra
     """Filter (z, u) pairs; ``unsolved`` uncomputed eigenvalues count as rejected by distance."""
     kept = []
     by_distance, by_residual = unsolved, 0
-    for z, u in pairs:
-        if not _far_from_ray(z, tau_filter):
-            by_distance += 1
-            continue
-        res = _operator_residual(params, V, z, u)
-        if not res < tau_res:  # a NaN residual fails too
-            by_residual += 1
-            continue
-        kept.append((z, res))
+    with trace.stage("filter.residual") as note:
+        for z, u in pairs:
+            if not _far_from_ray(z, tau_filter):
+                by_distance += 1
+                continue
+            res = _operator_residual(params, V, z, u)
+            if not res < tau_res:  # a NaN residual fails too
+                by_residual += 1
+                continue
+            kept.append((z, res))
+        note.update(checked=len(kept) + by_residual, rejected=by_residual)
     kept.sort(key=lambda t: (t[0].real, t[0].imag))
     eigenvalues = np.array([z for z, _ in kept], dtype=complex)
     residuals = np.array([r for _, r in kept], dtype=float)
@@ -269,6 +276,8 @@ def _inverse_iteration(A: np.ndarray, z: complex, work: np.ndarray,
     LAPACK's zhsein, so the vector stays finite when z is an exact
     eigenvalue.
     """
+    import scipy.linalg
+
     work[...] = A.T
     work.T.reshape(-1)[:: A.shape[0] + 1] -= z
     getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (work,))
@@ -304,8 +313,13 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
     budget, skipped or not.  Every reported eigenvalue carries a matrix-free
     residual below ``tau_res``.  A NaN or negative ``tau_filter`` or a
     ``tau_res`` that is not positive raises ValueError.  The call logs trace
-    stage ``dense.eig`` with its ``route`` and the number of ``lu_solves``.
+    stage ``dense.eig`` with its ``route`` and the number of ``lu_solves``;
+    nested in it and logged before it come ``dense.assemble`` with the
+    ``matrix_order`` (not on the ``numerical_range`` route) and
+    ``filter.residual`` with the residuals ``checked`` and ``rejected``.
     """
+    import scipy.linalg
+
     lat = V.lattice
     if tau_filter is None:
         tau_filter = default_tau_filter(params, lat)
@@ -320,7 +334,9 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
         if tau_filter >= _ray_reach(params, V):
             note.update(route="numerical_range", lu_solves=0)
             return _package(params, V, (), tau_filter, tau_res, info, unsolved=order)
-        A = dense_operator_matrix(params, V, budget_bytes=budget_bytes)
+        with trace.stage("dense.assemble") as assembled:
+            A = dense_operator_matrix(params, V, budget_bytes=budget_bytes)
+            assembled.update(matrix_order=order)
         work = np.empty((order, order), dtype=complex, order="F")
         work[...] = A.T
         w = scipy.linalg.eigvals(work, overwrite_a=True, check_finite=False)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import well_bound_states
+from test_api import _fresh_python
 from lamespectra.cli import main
 from lamespectra.spectra import _EIG_FALLBACK
 
@@ -679,3 +680,29 @@ def test_calibrate_seed_override_changes_fingerprint(tmp_path):
     a = _json(out1, "calibration.json")
     b = _json(out2, "calibration.json")
     assert a["fingerprint"] != b["fingerprint"]
+
+
+def _outputs(out):
+    """Bytes of every report and CSV a run wrote (the sidecars hold timings)."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if not p.name.endswith(".meta.json")}
+
+
+def test_parser_reuse_in_one_process(tmp_path):
+    # main builds its parser once per process: --help and an unknown command
+    # exit through it, and no parsed value carries over to the next call
+    for argv, code in ((["--help"], 0), (["nosuch"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    cfg = _write(tmp_path, "lattice: {dim: 2, points: 8}\nseed: 5\n")
+    runs = {"seed3": ["--seed", "3"], "config_seed": []}
+    for name, seed in runs.items():
+        argv = ["decompose", "-c", cfg, "-o", str(tmp_path / name), *seed]
+        assert main(argv) == 0
+        argv[4] = str(tmp_path / f"fresh_{name}")
+        _fresh_python(f"from lamespectra.cli import main; raise SystemExit(main({argv!r}))")
+    for name in runs:
+        assert _outputs(tmp_path / name) == _outputs(tmp_path / f"fresh_{name}")
+    # the two seeds draw different fields, so a leaked --seed 3 would show
+    assert _outputs(tmp_path / "seed3") != _outputs(tmp_path / "config_seed")

@@ -207,6 +207,8 @@ def test_metadata_sidecar_records_the_environment(tmp_path, monkeypatch, threads
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
     env = json.loads(write_metadata(tmp_path / "x.json").read_text())["environment"]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     assert env == {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas["name"],
-                   "blas_version": blas["version"], "openblas_num_threads": threads,
+                   "blas_version": blas["version"], "lapack": lapack["name"],
+                   "lapack_version": lapack["version"], "openblas_num_threads": threads,
                    "cpu_count": os.cpu_count()}

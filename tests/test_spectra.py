@@ -37,11 +37,27 @@ WELL_PARAMS = LameParams(-1.0, 1.0)  # longitudinal speed 1
 
 
 def _solve(params, V, **kwargs):
-    """discrete_eigenvalues and the one ``dense.eig`` trace note it logs."""
+    """discrete_eigenvalues and the one ``dense.eig`` trace note it logs.
+
+    Its nested stages finish first: assembly (unless the numerical range
+    skips the solve), then the residual filter, whose counts agree with the
+    result's.
+    """
     with trace.record() as stages:
         res = discrete_eigenvalues(params, V, **kwargs)
-    (note,) = stages
+    *nested, note = stages
     assert note["stage"] == "dense.eig"
+    info = res.solver_info
+    if note["route"] == "numerical_range":
+        (residual,) = nested
+    else:
+        assembled, residual = nested
+        assert assembled["stage"] == "dense.assemble"
+        assert assembled["matrix_order"] == info["matrix_order"]
+    assert residual["stage"] == "filter.residual"
+    assert residual["rejected"] == info["rejected_by_residual"]
+    assert residual["checked"] == len(res) + info["rejected_by_residual"]
+    assert sum(s["seconds"] for s in nested) <= note["seconds"]
     return res, note
 
 
@@ -133,6 +149,9 @@ def test_dense_peak_matches_model():
                                      (1152, 1149.5, "inverse_iteration"),
                                      (512, 0.5, "eig")):
         V = Potential(Lattice(1, order, 1e200), -1.0 - np.arange(order))
+        # the model first: it imports scipy.linalg, whose import would count
+        # in the peak of whichever test solves first
+        model = _dense_peak_bytes(order)
         tracemalloc.start()
         try:
             res, note = _solve(params, V, tau_filter=tau_filter)
@@ -142,7 +161,6 @@ def test_dense_peak_matches_model():
         assert note["route"] == route
         assert len(res) == order - res.solver_info["rejected_by_distance"]
         assert np.all(np.isfinite(res.residuals))
-        model = _dense_peak_bytes(order)
         assert 0.9 * model <= peak <= model, (order, route, peak, model)
 
 
