@@ -108,17 +108,21 @@ def _point(value, where, lattice) -> tuple:
     return tuple(_real(c, f"{where}[{i}]") for i, c in enumerate(value))
 
 
-def _z_list(value, where, lattice=None) -> list:
-    """Points off the essential spectrum [0, inf), each a number or [re, im]."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list, got {value!r}")
-    out = [_complex(z, f"{where}[{i}]") for i, z in enumerate(value)]
-    try:
-        for i, z in enumerate(out):
-            _check_admissible(z)
-    except ValueError as exc:
-        raise ConfigError(f"{where}[{i}]: {exc}") from None
-    return out
+def _z_list(nonempty=False):
+    """Points off the essential spectrum [0, inf), each a number or [re, im];
+    one point at least when ``nonempty``."""
+    def kind(value, where, lattice=None) -> list:
+        if not isinstance(value, list) or nonempty and not value:
+            raise ConfigError(f"{where} must be a {'non-empty ' if nonempty else ''}list, "
+                              f"got {value!r}")
+        out = [_complex(z, f"{where}[{i}]") for i, z in enumerate(value)]
+        try:
+            for i, z in enumerate(out):
+                _check_admissible(z)
+        except ValueError as exc:
+            raise ConfigError(f"{where}[{i}]: {exc}") from None
+        return out
+    return kind
 
 
 # potential family -> (builder in lamespectra.potentials, its keys)
@@ -191,9 +195,9 @@ SCHEMA = {
                 "budget_bytes": (_number(integral=True, lo=1), DEFAULT_BUDGET_BYTES)}, {}),
     "seed": (_number(integral=True, lo=0), 0),
     "decompose": ({"field": (_one_of("random", "gradient"), "random")}, {}),
-    "resolvent": ({"z_values": (_z_list, [[0.5, 0.8], [-1.0, 0.3], [2.0, -1.0]]),
+    "resolvent": ({"z_values": (_z_list(nonempty=True), [[0.5, 0.8], [-1.0, 0.3], [2.0, -1.0]]),
                    "samples": (_number(integral=True, lo=1), 3)}, {}),
-    "bs": ({"limit": (_number(integral=True, lo=0), 16), "z_values": (_z_list, [])}, {}),
+    "bs": ({"limit": (_number(integral=True, lo=0), 16), "z_values": (_z_list(), [])}, {}),
     "norms": (_norm_list, REQUIRED),
     "enclosure": ({**_BOUND, "margin": (_real, 1e-2)}, REQUIRED),
     "calibrate": ({**_BOUND, "ensemble": ({  # real_only left out: theorem == "T_SA"

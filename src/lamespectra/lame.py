@@ -7,6 +7,10 @@ the Helmholtz splitting into two scalar Laplacian resolvents
 
     (-Delta* - z)^-1 g = (1/mu) (-Laplace - z/mu)^-1 g_S
                        + (1/(lam+2mu)) (-Laplace - z/(lam+2mu))^-1 g_P.
+
+Build once per z, apply many: :func:`split_resolvent` forms the two scalar
+multipliers of one z once, so an iteration that applies that z to many fields
+pays only the transforms per application.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "apply_lame",
     "resolvent_direct",
     "resolvent_split",
+    "split_resolvent",
     "apply_perturbed",
 ]
 
@@ -147,26 +152,38 @@ def resolvent_direct(params: LameParams, z: complex, g: VectorField) -> VectorFi
     return inverse_transform(VectorField(lat, fhat))
 
 
-def resolvent_split(params: LameParams, z: complex, g: VectorField) -> VectorField:
-    """Resolvent via the Helmholtz splitting into scalar resolvents.
+def split_resolvent(params: LameParams, z: complex, lattice: Lattice):
+    """The map g -> (-Delta* - z)^-1 g via the Helmholtz splitting, built for one z.
 
-    With ghat = gs + gp (gp = xi q, the potential part) it forms
+    With ghat = gs + gp (gp = xi q, the potential part) each application forms
     gs / (mu |xi|^2 - z) + gp / ((lam + 2 mu) |xi|^2 - z) in place, as
-    ghat / (mu |xi|^2 - z) plus gp times the two resolvents' difference.  One
-    forward and one inverse transform; ``g`` is untouched, the result read-only.
+    ghat / (mu |xi|^2 - z) plus gp times the two resolvents' difference.  Both
+    multipliers are built here, once; an application makes one forward and one
+    inverse transform, leaves ``g`` untouched and returns a read-only field.
     """
     _check_admissible(z)
-    lat = g.lattice
-    xi2 = lat.frequency_norm2
-    ghat = forward_transform(g).values
-    q = potential_amplitude(lat, ghat)
+    xi2 = lattice.frequency_norm2
     shear = np.reciprocal(params.mu * xi2 - z)
-    q *= np.reciprocal(params.longitudinal * xi2 - z) - shear
-    out = ghat * shear
-    del ghat  # frees the coefficients before the inverse transform allocates
-    for k, xi_k in enumerate(lat.frequency_grid):
-        out[k] += xi_k * q
-    return inverse_transform(_adopt(VectorField, lat, out))
+    diff = np.reciprocal(params.longitudinal * xi2 - z) - shear
+
+    def apply(g: VectorField) -> VectorField:
+        if g.lattice != lattice:
+            raise ValueError("field and resolvent live on different lattices")
+        ghat = forward_transform(g).values
+        q = potential_amplitude(lattice, ghat)
+        q *= diff
+        out = ghat * shear
+        del ghat  # frees the coefficients before the inverse transform allocates
+        for k, xi_k in enumerate(lattice.frequency_grid):
+            out[k] += xi_k * q
+        return inverse_transform(_adopt(VectorField, lattice, out))
+
+    return apply
+
+
+def resolvent_split(params: LameParams, z: complex, g: VectorField) -> VectorField:
+    """Resolvent via the Helmholtz splitting: :func:`split_resolvent` applied once."""
+    return split_resolvent(params, z, g.lattice)(g)
 
 
 def apply_perturbed(params: LameParams, V: Potential, u: VectorField) -> VectorField:

@@ -17,6 +17,11 @@ __all__ = ["ConvergenceError", "singular_norm", "lp_operator_norm"]
 _MIN_ITER = 10  # steps taken before the stopping test may end the power iteration
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:  # NaN fails too
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+
+
 class ConvergenceError(RuntimeError):
     """Iteration failed to settle; ``bracket`` holds the last two estimates."""
 
@@ -43,7 +48,12 @@ def singular_norm(apply_op, apply_adjoint, start, tol: float = 1e-10,
     ConvergenceError
         After ``max_iter`` steps without settling; the exception carries the
         last two estimates as a bracket.
+    ValueError
+        Before any step, when ``max_iter < 1`` or ``tol`` is not positive.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    _check_tol(tol)
     v = start
     nv = l2_norm(v)
     if nv == 0.0:
@@ -84,9 +94,13 @@ def lp_operator_norm(apply_op, apply_adjoint, start, p: float, q: float,
     Each step maps the current iterate through K, the L^q duality map, the
     adjoint, and the dual L^p' duality map; tracked ratios ||Kx||_q with
     ||x||_p = 1 are monotone in practice and the best one is returned.
+    ``n_iter < 1`` or a ``tol`` that is not positive raises ValueError.
     """
     if not (p > 1.0 and q > 1.0):
         raise ValueError("p and q must exceed 1")
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be >= 1, got {n_iter!r}")
+    _check_tol(tol)
     p_dual = p / (p - 1.0)
     cls = type(start)
     lattice = start.lattice

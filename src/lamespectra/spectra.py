@@ -22,7 +22,6 @@ and :func:`discrete_eigenvalues`, so the FFT-only commands never load it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .lame import (
     _shifted_symbols,
     apply_perturbed,
     distance_to_ray,
-    resolvent_split,
+    split_resolvent,
 )
 from .lattice import (
     DEFAULT_BUDGET_BYTES,
@@ -420,8 +419,11 @@ def resolvent_norm_estimate(params: LameParams, z: complex, norm_pair, lattice: 
     L^p -> L^p' by random starts refined with the nonlinear power method;
     ``("weighted_l2", alpha)`` estimates L^2(<x>^2a) -> L^2(<x>^-2a) by plain
     power iteration on the weight-conjugated operator, stopping at relative
-    change ``tol``.
+    change ``tol``.  Each pairing builds the split resolvent of z and of
+    conj(z) once and applies them throughout.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
     _check_admissible(z)
     kind, value = norm_pair
     rng = np.random.default_rng(seed)
@@ -432,8 +434,8 @@ def resolvent_norm_estimate(params: LameParams, z: complex, norm_pair, lattice: 
             raise ValueError(f"lp_dual pairing needs 1 < p <= 2, got {p}")
         q = p / (p - 1.0)
 
-        op = partial(resolvent_split, params, z)
-        op_adj = partial(resolvent_split, params, np.conj(z))
+        op = split_resolvent(params, z, lattice)
+        op_adj = split_resolvent(params, np.conj(z), lattice)
         best = 0.0
         for _ in range(samples):
             start = random_vector_field(lattice, rng)
@@ -447,8 +449,10 @@ def resolvent_norm_estimate(params: LameParams, z: complex, norm_pair, lattice: 
         inv_half = polynomial_weight(lattice, -alpha / 2.0)  # <x>^-alpha
 
         def conjugated(w):
+            resolvent = split_resolvent(params, w, lattice)
+
             def op(g):
-                out = resolvent_split(params, w, _adopt(VectorField, lattice, g.values * inv_half))
+                out = resolvent(_adopt(VectorField, lattice, g.values * inv_half))
                 return _adopt(VectorField, lattice, out.values * inv_half)
             return op
 

@@ -11,10 +11,13 @@ transcendental matching conditions, nothing spectral or grid-based.  The
 full-eig spectrum is the slow dense route: every eigenvector from one
 ``numpy.linalg.eig``, then the library's own filters.  The Birman-Schwinger
 operator is applied matrix-free through the FFT resolvent, the reference
-the dense kernel's columns are checked against.
+the dense kernel's columns are checked against.  The resolvent norm
+estimate rebuilds the split resolvent on every application, inside the same
+iterations as the library's estimator, which builds it once per z.
 """
 
 import itertools
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,7 +25,9 @@ from scipy.optimize import brentq
 
 from lamespectra import spectra
 from lamespectra.lame import resolvent_split
-from lamespectra.lattice import VectorField
+from lamespectra.lattice import VectorField, random_vector_field
+from lamespectra.norms import polynomial_weight
+from lamespectra.operator_norms import lp_operator_norm, singular_norm
 
 
 def mc_norm_brute(V, alpha, p):
@@ -293,3 +298,31 @@ def bs_apply(params, V, z, g):
     sgn[nz] = V.values[nz] / mag[nz]
     out = resolvent_split(params, z, VectorField(g.lattice, np.sqrt(mag)[None] * g.values))
     return VectorField(g.lattice, (np.sqrt(mag) * sgn)[None] * out.values)
+
+
+def resolvent_norm_estimate_rebuilding(params, z, norm_pair, lattice, samples=6, n_iter=40,
+                                       seed=0, tol=1e-6):
+    """:func:`spectra.resolvent_norm_estimate` with a fresh
+    :func:`lame.resolvent_split` on every application of the resolvent."""
+    kind, value = norm_pair
+    rng = np.random.default_rng(seed)
+    if kind == "lp_dual":
+        p = float(value)
+        q = p / (p - 1.0)
+        op = partial(resolvent_split, params, z)
+        op_adj = partial(resolvent_split, params, np.conj(z))
+        best = 0.0
+        for _ in range(samples):
+            start = random_vector_field(lattice, rng)
+            best = max(best, lp_operator_norm(op, op_adj, start, p, q, n_iter=n_iter))
+        return best
+    inv_half = polynomial_weight(lattice, -float(value) / 2.0)
+
+    def conjugated(w):
+        def op(g):
+            out = resolvent_split(params, w, VectorField(lattice, g.values * inv_half))
+            return VectorField(lattice, out.values * inv_half)
+        return op
+
+    return singular_norm(conjugated(z), conjugated(np.conj(z)),
+                         random_vector_field(lattice, rng), tol=tol, max_iter=5000)

@@ -473,6 +473,7 @@ EIGHT_SAMPLES = Path(__file__).resolve().parent / "data" / "eight_samples.csv"
          "solver.tau_filtr"),
         ("norms", _NORMS + "[{name: lp, p: 2, q: 3}]\n", "norms[0].q"),
         ("decompose", "lattice: {dim: 5}\n", "lattice: dim"),
+        ("resolvent-check", _RESOLVENT + "{z_values: []}\n", "resolvent.z_values"),
     ],
     ids=["resolvent-z-on-ray", "bs-z-on-ray", "bs-spectrum-point-on-ray", "solver-tau-filter",
          "solver-tau-res", "solver-budget", "resolvent-samples", "bs-limit", "enclosure-margin",
@@ -483,7 +484,8 @@ EIGHT_SAMPLES = Path(__file__).resolve().parent / "data" / "eight_samples.csv"
          "enclosure-gamma-list", "ensemble-family-unknown", "solver-tau-filter-nan",
          "lattice-points-fraction", "lattice-dim-fraction", "ensemble-real-only-text",
          "resolvent-samples-zero", "solver-tau-res-negative", "solver-tau-filter-negative",
-         "unknown-section", "unknown-key", "norms-unexpected-parameter", "lattice-dim-unknown"],
+         "unknown-section", "unknown-key", "norms-unexpected-parameter", "lattice-dim-unknown",
+         "resolvent-z-values-empty"],
 )
 def test_bad_value_exit_code(tmp_path, capsys, command, text, named):
     cfg = _write(tmp_path, text)

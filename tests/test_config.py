@@ -108,6 +108,16 @@ def test_check_config_checks_norm_windows(norms, named):
     assert str(err.value).startswith(named)
 
 
+def test_only_resolvent_z_values_need_a_point():
+    # a resolvent-check with no point would pass having checked nothing
+    base = {"lattice": {"dim": 1, "points": 16}, "material": {"lambda": 0.0, "mu": 1.0}}
+    with pytest.raises(ConfigError, match=r"resolvent\.z_values must be a non-empty list"):
+        check_config({**base, "resolvent": {"z_values": []}}, "resolvent-check")
+    well = {"family": "well", "depth": 1.0, "half_width": 1.0}
+    run = check_config({**base, "potential": well, "bs": {"z_values": []}}, "bs-check")
+    assert run.bs["z_values"] == []
+
+
 def test_lattice_section():
     lat = lattice_from_config({"lattice": {"dim": 2, "points": 16, "period": 3.0}})
     assert (lat.dim, lat.n, lat.period) == (2, 16, 3.0)

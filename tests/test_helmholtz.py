@@ -133,6 +133,8 @@ def test_riesz_norm_bound_rejects_bad_p():
         riesz_norm_bound(0.5)
     with pytest.raises(ValueError):
         riesz_empirical_norm(Lattice(2, 8), 0, float("nan"))
+    with pytest.raises(ValueError, match="n_iter must be >= 1"):
+        riesz_empirical_norm(Lattice(2, 8), 0, 2.0, n_iter=0)
 
 
 def test_splitting_bound_formula():

@@ -13,7 +13,9 @@ from lamespectra.lame import (
     lame_symbol,
     resolvent_direct,
     resolvent_split,
+    split_resolvent,
 )
+from lamespectra.helmholtz import potential_amplitude
 from lamespectra.lattice import (
     Lattice,
     ScalarField,
@@ -133,6 +135,21 @@ def test_distance_to_ray_array_equals_scalar():
     assert isinstance(distance_to_ray(-1.0 + 1.0j), float)
 
 
+def _one_shot_split(params, z, g):
+    """The split route as one function, building its multipliers on every call,
+    in the library's order of operations: a built resolvent must keep its bits."""
+    lat = g.lattice
+    xi2 = lat.frequency_norm2
+    ghat = forward_transform(g).values
+    q = potential_amplitude(lat, ghat)
+    shear = np.reciprocal(params.mu * xi2 - z)
+    q *= np.reciprocal(params.longitudinal * xi2 - z) - shear
+    out = ghat * shear
+    for k, xi_k in enumerate(lat.frequency_grid):
+        out[k] += xi_k * q
+    return inverse_transform(VectorField(lat, out))
+
+
 @pytest.mark.parametrize("params", PAIRS)
 def test_resolvent_split_equals_direct(params):
     rng = np.random.default_rng(2)
@@ -143,10 +160,35 @@ def test_resolvent_split_equals_direct(params):
         for field in (g, offset):
             for z in (0.3 + 0.5j, -1.0 + 0.2j, -4.0, 9.0 - 2.0j, 2.0 + 1e-3j):
                 a = resolvent_split(params, z, field)
+                assert np.array_equal(split_resolvent(params, z, lat)(field).values, a.values)
+                assert np.array_equal(_one_shot_split(params, z, field).values, a.values)
                 b = resolvent_direct(params, z, field)
                 num = vector_lp_norm(a - b, 2.0)
                 den = vector_lp_norm(b, 2.0)
                 assert num / den < 1e-12, (lat, z)
+
+
+def test_split_resolvent_applies_to_many_fields():
+    lat = Lattice(2, 16)
+    params = LameParams(-0.5, 1.0)
+    rng = np.random.default_rng(10)
+    fields = [random_vector_field(lat, rng) for _ in range(3)]
+    before = [f.values.copy() for f in fields]
+    built = split_resolvent(params, -1.0 + 0.5j, lat)
+    for f in fields + fields[::-1]:  # a second pass in reverse order: no state carries over
+        u = built(f)
+        assert np.array_equal(u.values, resolvent_split(params, -1.0 + 0.5j, f).values)
+        assert not u.values.flags.writeable
+    assert all(np.array_equal(f.values, b) for f, b in zip(fields, before))
+
+
+def test_split_resolvent_refuses_other_lattices():
+    built = split_resolvent(LameParams(1.0, 1.0), -1.0, Lattice(2, 8))
+    for lat in (Lattice(2, 16), Lattice(2, 8, 4.0)):
+        with pytest.raises(ValueError, match="different lattices"):
+            built(VectorField.zeros(lat))
+    with pytest.raises(ValueError, match="essential spectrum"):
+        split_resolvent(LameParams(1.0, 1.0), 2.0, Lattice(2, 8))
 
 
 def test_resolvent_split_matches_dense_matrix():
@@ -186,6 +228,22 @@ def test_resolvent_split_peak_memory():
     assert peak <= 5.5 * g.values.nbytes
 
 
+def test_split_resolvent_application_peak_memory():
+    # building the multipliers on every application peaks at about 4.5x the
+    # field's bytes; an application of a built resolvent at about 3.5x
+    lat = Lattice(2, 64)
+    g = random_vector_field(lat, np.random.default_rng(9))
+    built = split_resolvent(LameParams(0.5, 1.0), -1.0 + 0.1j, lat)
+    built(g)
+    tracemalloc.start()
+    try:
+        built(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * g.values.nbytes
+
+
 def test_resolvent_split_uses_one_transform_pair(monkeypatch):
     # every module that could reach the FFT counts into the same tally
     import lamespectra.helmholtz
@@ -208,6 +266,12 @@ def test_resolvent_split_uses_one_transform_pair(monkeypatch):
     g = random_vector_field(Lattice(2, 8), np.random.default_rng(6))
     resolvent_split(LameParams(1.0, 1.0), -1.0 + 0.5j, g)
     assert counts == {"forward": 1, "inverse": 1}
+    # building transforms nothing; each application of the built map one pair
+    built = split_resolvent(LameParams(1.0, 1.0), -1.0 + 0.5j, g.lattice)
+    assert counts == {"forward": 1, "inverse": 1}
+    for _ in range(3):
+        built(g)
+    assert counts == {"forward": 4, "inverse": 4}
 
 
 def test_resolvent_inverts_operator():

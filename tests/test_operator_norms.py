@@ -113,3 +113,29 @@ def test_lp_norm_rejects_bad_exponents():
         lp_operator_norm(ident, ident, start, float("nan"), 2.0)
     with pytest.raises(ValueError):
         lp_operator_norm(ident, ident, start, 2.0, float("nan"))
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("the operator was applied before the controls were checked")
+
+
+@pytest.mark.parametrize("controls, named", [
+    ({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
+    ({"tol": 0.0}, "tol"), ({"tol": -1e-8}, "tol"), ({"tol": float("nan")}, "tol"),
+])
+def test_singular_norm_refuses_bad_controls_before_any_step(controls, named):
+    # max_iter=0 once returned 0.0, and tol=nan ran every step before raising
+    start = ScalarField(Lattice(1, 8), np.ones(8, dtype=complex))
+    with pytest.raises(ValueError, match=named):
+        singular_norm(_refused, _refused, start, **controls)
+
+
+@pytest.mark.parametrize("controls, named", [
+    ({"n_iter": 0}, "n_iter"), ({"n_iter": -1}, "n_iter"),
+    ({"tol": 0.0}, "tol"), ({"tol": -1e-8}, "tol"), ({"tol": float("nan")}, "tol"),
+])
+def test_lp_norm_refuses_bad_controls_before_any_step(controls, named):
+    # n_iter=0 once returned 0.0 as if it were a lower estimate
+    start = ScalarField(Lattice(1, 8), np.ones(8, dtype=complex))
+    with pytest.raises(ValueError, match=named):
+        lp_operator_norm(_refused, _refused, start, 2.0, 2.0, **controls)

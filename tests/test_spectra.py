@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from scipy.linalg import svdvals
 
-from oracles import bs_apply, eigenvalues_by_full_eig, well_bound_states
+from oracles import (
+    bs_apply,
+    eigenvalues_by_full_eig,
+    resolvent_norm_estimate_rebuilding,
+    well_bound_states,
+)
 from test_acceptance import _bs_fixtures
 from lamespectra import trace
 from lamespectra.lame import LameParams, Potential, apply_lame, apply_perturbed
@@ -499,3 +504,29 @@ def test_estimate_validation():
     for alpha in (-0.5, np.nan):
         with pytest.raises(ValueError, match="weight exponent must be >= 0"):
             resolvent_norm_estimate(params, -1.0, ("weighted_l2", alpha), lat)
+
+
+@pytest.mark.parametrize("pair", [("lp_dual", 1.5), ("weighted_l2", 1.0)])
+def test_estimate_equals_rebuilding_oracle(pair):
+    # the estimator builds each split resolvent once per z; rebuilding it on
+    # every application must give the same bits
+    lat = Lattice(2, 16)
+    params = LameParams(0.5, 1.0)
+    for z in (-1.0 + 0.5j, 2.0 + 0.3j):
+        kwargs = {"samples": 2, "n_iter": 15, "seed": 3, "tol": 1e-8}
+        est = resolvent_norm_estimate(params, z, pair, lat, **kwargs)
+        assert est == resolvent_norm_estimate_rebuilding(params, z, pair, lat, **kwargs), z
+
+
+@pytest.mark.parametrize("pair, controls, named", [
+    (("lp_dual", 2.0), {"samples": 0}, "samples must be >= 1"),
+    (("weighted_l2", 1.0), {"samples": 0}, "samples must be >= 1"),
+    (("lp_dual", 2.0), {"n_iter": 0}, "n_iter must be >= 1"),
+    (("weighted_l2", 1.0), {"tol": float("nan")}, "tol must be > 0"),
+    (("weighted_l2", 1.0), {"tol": -1e-6}, "tol must be > 0"),
+])
+def test_estimate_refuses_bad_iteration_controls(pair, controls, named):
+    # samples=0 and n_iter=0 once returned 0.0 as if it were a lower estimate,
+    # and tol=nan ran 5000 power steps before a ConvergenceError
+    with pytest.raises(ValueError, match=named):
+        resolvent_norm_estimate(LameParams(1.0, 1.0), -1.0, pair, Lattice(2, 8), **controls)
