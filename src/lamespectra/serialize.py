@@ -150,9 +150,10 @@ def read_report(path) -> dict:
 def write_metadata(path, extra: dict | None = None) -> Path:
     """Write the varying run info and environment next to ``path``; return the sidecar."""
     sidecar = Path(str(path) + ".meta.json")
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    # the dense eigensolves and LUs run in scipy's LAPACK, which may be another library
-    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    # the dense eigenvalues and LUs run in numpy's LAPACK; only the eig route
+    # of a solve with more than 40 survivors runs in the recorded scipy's
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    blas, lapack = deps["blas"], deps["lapack"]
     env = {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas.get("name"),
            "blas_version": blas.get("version"), "lapack": lapack.get("name"),
            "lapack_version": lapack.get("version"), "cpu_count": os.cpu_count(),

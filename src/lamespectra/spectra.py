@@ -10,13 +10,16 @@ residual below tolerance.
 The dense eigensolve computes eigenvalues first and eigenvectors only for
 the few that pass the distance filter, one LU of ``A - z`` each.  Its memory
 model, :func:`_dense_peak_bytes`, counts what assembly plus solve really
-hold: the operator matrix and one Fortran-ordered work matrix of the same
-size, which LAPACK overwrites.  It is skipped when the numerical range shows
-that no eigenvalue can pass the distance filter (:func:`_ray_reach`).
+hold: the operator matrix and one copy of the same size, which LAPACK
+overwrites, plus workspace and BLAS scratch.  It is skipped when the
+numerical range shows that no eigenvalue can pass the distance filter
+(:func:`_ray_reach`).
 
-``scipy.linalg`` is imported inside the three functions that call LAPACK,
-:func:`_dense_peak_bytes` (so every budget check), :func:`_inverse_iteration`
-and :func:`discrete_eigenvalues`, so the FFT-only commands never load it.
+The eigenvalues and the LUs run through ``numpy.linalg``, whose LAPACK is
+loaded with numpy.  Only the ``eig`` route of :func:`discrete_eigenvalues`,
+taken when more than 40 eigenvalues pass the filter, imports
+``scipy.linalg``; every other command, and every budget check, leaves it
+unloaded.
 """
 
 from __future__ import annotations
@@ -81,22 +84,43 @@ def default_tau_res(params: LameParams, lattice: Lattice) -> float:
     return 1e-8 * max(1.0, spectral_width(params, lattice))
 
 
+def _blas_scratch_bytes(order: int) -> int:
+    """Resident memory a dense solve holds beyond its arrays, with one BLAS thread.
+
+    OpenBLAS's packing buffers: an LU touches about 2 KB of them per row
+    plus 0.5 MB, and ``zgeev``'s reductions touch partly other pages of the
+    same buffers.  Measured in fresh interpreters after a tiny warm-up, from
+    the growth of the peak resident set across a whole solve: 0.7 to 4.4 MB
+    above the rest of the model at orders 256 to 3072 on both routes, most
+    between orders 1536 and 1920 on the inverse-iteration route.  Each
+    further BLAS thread adds about 0.5 MB.
+    """
+    return 2560 * order + 800_000
+
+
+def _zgeev_lwork(order: int) -> int:
+    """Complex entries of ``zgeev``'s workspace with left eigenvectors.
+
+    The size the linked LAPACK asks for, stated in closed form so that the
+    budget check loads no LAPACK.
+    """
+    return max(130 * order, 4325)
+
+
 def _dense_peak_bytes(order: int) -> int:
     """Modelled peak of a dense assembly plus solve of the given order.
 
-    Two complex order^2 matrices: the assembled operator and the
-    Fortran-ordered work copy that LAPACK overwrites (with the eigenvalues,
-    an LU, or beside the eigenvectors of the ``eig`` route, which frees the
-    operator first).  On top come ``zgeev``'s workspace with eigenvectors,
-    as the linked LAPACK sizes it, and 256 bytes per row for the
-    eigenvalues, ``rwork`` and the vectors in flight.  Assembly alone holds
-    one matrix plus the int64 offset table and stays below this.
+    Two complex order^2 matrices: the assembled operator and the copy that
+    LAPACK overwrites (``numpy.linalg``'s copy for the eigenvalues and each
+    LU, or the work matrix beside the eigenvectors of the ``eig`` route,
+    which frees the operator first).  On top come ``zgeev``'s workspace with
+    eigenvectors (:func:`_zgeev_lwork`), 256 bytes per row for the
+    eigenvalues, ``rwork`` and the vectors in flight, and the BLAS scratch
+    (:func:`_blas_scratch_bytes`).  Assembly alone holds one matrix plus
+    the int64 offset table and stays below this.
     """
-    import scipy.linalg
-
-    geev_lwork = scipy.linalg.get_lapack_funcs("geev_lwork", dtype=np.complex128)
-    lwork, _ = geev_lwork(order, compute_vl=1, compute_vr=0)
-    return 32 * order * order + 16 * int(lwork.real) + 256 * order
+    return (32 * order * order + 16 * _zgeev_lwork(order) + 256 * order
+            + _blas_scratch_bytes(order))
 
 
 def _check_budget(order: int, budget_bytes: int, dim: int) -> None:
@@ -117,14 +141,18 @@ def _check_budget(order: int, budget_bytes: int, dim: int) -> None:
     )
 
 
-def _offset_matrix(lattice: Lattice, points: np.ndarray | None = None) -> np.ndarray:
-    """Flat index of (a - b) mod n for all point pairs; points are flat indices."""
+def _offset_matrix(lattice: Lattice, points: np.ndarray | None = None,
+                   transpose: bool = False) -> np.ndarray:
+    """Flat index of (a - b) mod n for all point pairs (a, b), or of (b - a)
+    mod n with ``transpose``; points are flat indices."""
     idx = np.indices(lattice.shape).reshape(lattice.dim, -1)
     if points is not None:
         idx = idx[:, points]
     flat = np.zeros((idx.shape[1], idx.shape[1]), dtype=np.int64)
     for axis in range(lattice.dim):
         o = np.subtract.outer(idx[axis], idx[axis])
+        if transpose:
+            np.negative(o, out=o)
         o %= lattice.n
         flat *= lattice.n
         flat += o
@@ -154,10 +182,15 @@ def _kernel_tables(lattice: Lattice, symbols: np.ndarray) -> np.ndarray:
 
 def dense_lame_matrix(params: LameParams, lattice: Lattice,
                       budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
-    """Dense matrix of -Delta* in the component-major flat layout."""
+    """Dense matrix of -Delta* in the component-major flat layout, Fortran-ordered.
+
+    It is gathered as its transpose in C order (block (j, k) of the
+    transpose is block (k, j) of the matrix at the negated offsets), so the
+    LUs of :func:`_inverse_iteration` copy it column by column.
+    """
     _check_budget(lattice.dim * lattice.npoints, budget_bytes, lattice.dim)
     tables = _kernel_tables(lattice, _shifted_symbols(params, lattice, 0.0))
-    return _gather_blocks(tables, _offset_matrix(lattice))
+    return _gather_blocks(tables.swapaxes(0, 1), _offset_matrix(lattice, transpose=True)).T
 
 
 def dense_operator_matrix(params: LameParams, V: Potential,
@@ -264,28 +297,27 @@ def _package(params, V, pairs, tau_filter, tau_res, info, unsolved=0) -> Spectra
     return SpectralResult(eigenvalues, residuals, distances, info)
 
 
-def _inverse_iteration(A: np.ndarray, z: complex, work: np.ndarray,
-                       start: np.ndarray) -> np.ndarray:
+def _inverse_iteration(A: np.ndarray, z: complex, start: np.ndarray) -> np.ndarray:
     """One inverse-iteration step: solve (A - z) u = start through an LU.
 
-    ``A`` is C-ordered; ``work`` is a Fortran-ordered buffer of its shape.
-    It receives A^T (the same bytes), its diagonal is shifted in place, and
-    LAPACK factors it where it lies; the transposed solve then gives
-    (A - z) u = start.  An exactly zero pivot becomes eps ||A||_1, as in
-    LAPACK's zhsein, so the vector stays finite when z is an exact
-    eigenvalue.
+    ``A`` should be Fortran-ordered, so that ``numpy.linalg.solve`` copies it
+    column by column.  Its diagonal is shifted in place and restored, bit for
+    bit, afterwards.  When z is an exact eigenvalue, so that ``A - z`` has an
+    exactly zero pivot, the shift moves by eps ||A||_1 (LAPACK's zhsein
+    perturbs such a pivot by the same amount) and the vector stays finite.
     """
-    import scipy.linalg
-
-    work[...] = A.T
-    work.T.reshape(-1)[:: A.shape[0] + 1] -= z
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (work,))
-    lu, piv, info = getrf(work, overwrite_a=True)
-    if info > 0:
-        pivots = lu.T.reshape(-1)[:: A.shape[0] + 1]
-        pivots[pivots == 0.0] = np.finfo(float).eps * scipy.linalg.norm(A, 1)
-    u, _ = getrs(lu, piv, start, trans=1)
-    return u
+    diagonal = A.diagonal().copy()
+    try:
+        np.fill_diagonal(A, diagonal - z)
+        try:
+            return np.linalg.solve(A, start)
+        except np.linalg.LinAlgError:
+            np.fill_diagonal(A, diagonal)
+            norm1 = max(np.abs(column).sum() for column in A.T)  # no order^2 temporary
+            np.fill_diagonal(A, diagonal - (z + np.finfo(float).eps * norm1))
+            return np.linalg.solve(A, start)
+    finally:
+        np.fill_diagonal(A, diagonal)
 
 
 # More survivors of the distance filter than this, and one full ``eig`` is
@@ -302,23 +334,23 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
     When ``tau_filter`` is at least :func:`_ray_reach`, the filter must
     reject every eigenvalue: nothing is assembled or solved (route
     ``numerical_range``).  Otherwise dense assembly, then LAPACK ``zgeev``
-    for the eigenvalues alone.  Each eigenvalue farther than ``tau_filter``
-    from the ray gets its vector from one inverse-iteration step through an
-    LU of ``A - z``, started from a fixed-seed random vector (eigenvectors
-    of symmetric potentials can be orthogonal to constants).  When more than
-    40 survive, one ``eig`` with all eigenvectors replaces the LUs: an LU
-    costs 1/32 to 1/60 of an ``eig`` at orders 192 to 2048 with one BLAS
-    thread.  Raises :class:`BudgetExceeded` when the solve would not fit the
-    budget, skipped or not.  Every reported eigenvalue carries a matrix-free
-    residual below ``tau_res``.  A NaN or negative ``tau_filter`` or a
-    ``tau_res`` that is not positive raises ValueError.  The call logs trace
-    stage ``dense.eig`` with its ``route`` and the number of ``lu_solves``;
-    nested in it and logged before it come ``dense.assemble`` with the
-    ``matrix_order`` (not on the ``numerical_range`` route) and
-    ``filter.residual`` with the residuals ``checked`` and ``rejected``.
+    through ``numpy.linalg.eigvals`` for the eigenvalues alone.  Each
+    eigenvalue farther than ``tau_filter`` from the ray gets its vector from
+    one inverse-iteration step through an LU of ``A - z``, started from a
+    fixed-seed random vector (eigenvectors of symmetric potentials can be
+    orthogonal to constants).  When more than 40 survive, one
+    ``scipy.linalg.eig`` with all eigenvectors, which overwrites its input,
+    replaces the LUs: an LU costs 1/32 to 1/60 of an ``eig`` at orders 192
+    to 2048 with one BLAS thread.  Raises :class:`BudgetExceeded` when the
+    solve would not fit the budget, skipped or not.  Every reported
+    eigenvalue carries a matrix-free residual below ``tau_res``.  A NaN or
+    negative ``tau_filter`` or a ``tau_res`` that is not positive raises
+    ValueError.  The call logs trace stage ``dense.eig`` with its ``route``
+    and the number of ``lu_solves``; nested in it and logged before it come
+    ``dense.assemble`` with the ``matrix_order`` (not on the
+    ``numerical_range`` route) and ``filter.residual`` with the residuals
+    ``checked`` and ``rejected``.
     """
-    import scipy.linalg
-
     lat = V.lattice
     if tau_filter is None:
         tau_filter = default_tau_filter(params, lat)
@@ -336,12 +368,13 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
         with trace.stage("dense.assemble") as assembled:
             A = dense_operator_matrix(params, V, budget_bytes=budget_bytes)
             assembled.update(matrix_order=order)
-        work = np.empty((order, order), dtype=complex, order="F")
-        work[...] = A.T
-        w = scipy.linalg.eigvals(work, overwrite_a=True, check_finite=False)
+        # of A^T, the matrix the eig route factors for its left vectors
+        w = np.linalg.eigvals(A.T)
         far = _far_from_ray(w, tau_filter)
         if np.count_nonzero(far) > _EIG_FALLBACK:
-            work[...] = A.T
+            import scipy.linalg
+
+            work = np.asfortranarray(A.T)
             del A  # the eigenvectors take the operator's place in the memory model
             w, vl = scipy.linalg.eig(work, left=True, right=False, overwrite_a=True,
                                      check_finite=False)
@@ -351,7 +384,7 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
         else:
             rng = np.random.default_rng(0)
             start = rng.standard_normal(order) + 1j * rng.standard_normal(order)
-            vectors = {i: _vector_from_flat(lat, _inverse_iteration(A, w[i], work, start))
+            vectors = {i: _vector_from_flat(lat, _inverse_iteration(A, w[i], start))
                        for i in np.flatnonzero(far)}
             pairs = ((z, vectors.get(i)) for i, z in enumerate(w))
             note.update(route="inverse_iteration", lu_solves=len(vectors))

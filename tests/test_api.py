@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -34,8 +35,17 @@ def test_cli_import_leaves_out(package):
     assert _fresh_python(code).strip() == "[]"
 
 
-LAZY_RUNS = {
-    "norms": """
+WELL = """
+lattice: {dim: 1, points: 192, period: 30.0}
+material: {lambda: -1.0, mu: 1.0}
+potential: {family: well, depth: 5.0, half_width: 1.015625}
+solver: {tau_filter: 0.5}
+"""
+
+# (run, command, config): every command on a small fixture, and last the one
+# run that takes the eig route (56 bound states pass the distance filter)
+RUNS = [
+    ("norms", "norms", """
         lattice: {dim: 2, points: 8}
         potential: {family: gaussian, amplitude: -4.0, width: 0.7}
         norms:
@@ -44,38 +54,55 @@ LAZY_RUNS = {
           - {name: morrey_campanato, alpha: 1.0, p: 1.5}
           - {name: kerman_sayer, alpha: 0.5}
           - {name: muckenhoupt, p: 2.0}
-        """,
-    "decompose": "lattice: {dim: 2, points: 8}\n",
-    "resolvent-check": """
+        """),
+    ("decompose", "decompose", "lattice: {dim: 2, points: 8}\n"),
+    ("resolvent-check", "resolvent-check", """
         lattice: {dim: 2, points: 8}
         material: {lambda: 0.5, mu: 1.0}
         resolvent: {z_values: [[-1.0, 0.5]], samples: 1}
-        """,
-    "spectrum": """
-        lattice: {dim: 1, points: 16}
-        material: {lambda: 0.5, mu: 1.0}
-        potential: {family: well, depth: 5.0, half_width: 1.0}
-        """,
-}
+        """),
+    ("spectrum", "spectrum", WELL),
+    ("enclosure", "enclosure", WELL + "enclosure: {theorem: T1d, gamma: 0.5}\n"),
+    ("calibrate", "calibrate", """
+        lattice: {dim: 1, points: 64, period: 12.0}
+        material: {lambda: 0.0, mu: 0.5}
+        calibrate:
+          theorem: T1d
+          gamma: 0.5
+          ensemble: {family: gaussian, size: 3, real_only: true}
+        seed: 5
+        """),
+    ("bs-check", "bs-check", WELL + "bs: {limit: 2}\n"),
+    ("many-survivors", "spectrum", WELL.replace("depth: 5.0, half_width: 1.015625",
+                                                "depth: 300.0, half_width: 5.0")),
+]
 
 
-def test_fft_commands_leave_out_lapack(tmp_path):
-    # norms, decompose and resolvent-check use FFTs and norm scans only; the
-    # spectrum run after them shows that the check can see LAPACK load
-    for name, text in LAZY_RUNS.items():
-        (tmp_path / f"{name}.yaml").write_text(textwrap.dedent(text))
+def test_only_the_eig_route_loads_scipy_linalg(tmp_path):
+    # eigenvalues and LUs run through numpy.linalg, so no command loads
+    # scipy.linalg until a dense solve takes the eig route
+    for run, _, text in RUNS:
+        (tmp_path / f"{run}.yaml").write_text(textwrap.dedent(text))
     code = textwrap.dedent(f"""
         import sys
         from lamespectra.cli import main
         loaded = {{}}
-        for name in {list(LAZY_RUNS)!r}:
-            assert main([name, "-c", name + ".yaml", "-o", name]) == 0
-            loaded[name] = "scipy.linalg" in sys.modules
+        for run, command in {[(run, command) for run, command, _ in RUNS]!r}:
+            assert main([command, "-c", run + ".yaml", "-o", run]) == 0
+            loaded[run] = "scipy.linalg" in sys.modules
         print(loaded)
     """)
     loaded = _fresh_python(code, cwd=tmp_path).splitlines()[-1]
-    assert loaded == str({"norms": False, "decompose": False, "resolvent-check": False,
-                          "spectrum": True})
+    assert loaded == str({run: run == "many-survivors" for run, _, _ in RUNS})
+    routes = {run: {stage["route"] for stage in
+                    json.loads((tmp_path / run / report).read_text())["trace"]
+                    if stage["stage"] == "dense.eig"}
+              for run, report in (("spectrum", "spectrum.json.meta.json"),
+                                  ("calibrate", "calibration.json.meta.json"),
+                                  ("many-survivors", "spectrum.json.meta.json"))}
+    assert routes == {"spectrum": {"inverse_iteration"},
+                      "calibrate": {"inverse_iteration"},
+                      "many-survivors": {"eig"}}
 
 
 @pytest.mark.parametrize("name", MODULES)

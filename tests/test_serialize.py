@@ -206,8 +206,9 @@ def test_metadata_sidecar_records_the_environment(tmp_path, monkeypatch, threads
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
     env = json.loads(write_metadata(tmp_path / "x.json").read_text())["environment"]
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    # numpy's LAPACK: the one the dense eigenvalues and LUs run in
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    blas, lapack = deps["blas"], deps["lapack"]
     assert env == {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas["name"],
                    "blas_version": blas["version"], "lapack": lapack["name"],
                    "lapack_version": lapack["version"], "openblas_num_threads": threads,

@@ -1,9 +1,8 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import svdvals
+from scipy.linalg import get_lapack_funcs, svdvals
 
 from oracles import (
     bs_apply,
@@ -12,6 +11,7 @@ from oracles import (
     well_bound_states,
 )
 from test_acceptance import _bs_fixtures
+from test_api import _fresh_python
 from lamespectra import trace
 from lamespectra.lame import LameParams, Potential, apply_lame, apply_perturbed
 from lamespectra.lattice import Lattice, VectorField, random_vector_field
@@ -24,6 +24,7 @@ from lamespectra.spectra import (
     _inverse_iteration,
     _package,
     _ray_reach,
+    _zgeev_lwork,
     BudgetExceeded,
     bs_check,
     bs_kernel,
@@ -142,31 +143,73 @@ def test_budget_exceeded_when_no_lattice_fits():
     assert f"even n = 4 needs {need / 1e6:.1f} MB in dimension 3" in text
 
 
+PEAK_RUN = """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import re
+import numpy as np
+from lamespectra import trace
+from lamespectra.lame import LameParams, Potential
+from lamespectra.lattice import Lattice
+from lamespectra.spectra import discrete_eigenvalues
+
+order, tau_filter, route = {order}, {tau_filter}, {route!r}
+a = np.eye(4, dtype=complex) + 1j
+np.linalg.solve(a, a[0])
+np.linalg.eigvals(a)
+np.random.default_rng(0)
+if route == "eig":
+    import scipy.linalg
+    scipy.linalg.eig(a, left=True, right=False)
+
+
+def status(key):
+    with open("/proc/self/status") as lines:
+        return 1024 * int(re.search(key + r":\\s*(\\d+) kB", lines.read()).group(1))
+
+
+V = Potential(Lattice(1, order, 1e200), -1.0 - np.arange(order))
+resident, peak_before = status("VmRSS"), status("VmHWM")
+with trace.record() as stages:
+    res = discrete_eigenvalues(LameParams(0.0, 1.0), V, tau_filter=tau_filter)
+peak_after = status("VmHWM")
+print(stages[-1]["route"], len(res), res.solver_info["rejected_by_distance"],
+      bool(np.all(np.isfinite(res.residuals))), peak_after > peak_before,
+      peak_after - resident)
+"""
+
+
 def test_dense_peak_matches_model():
-    # tracemalloc sees every buffer of the solve: the matrices are numpy
-    # arrays and scipy's LAPACK wrappers allocate their workspace through
-    # numpy (numpy.linalg's own gufuncs would not be traced).  The buffers
-    # held do not depend on the values, so the cell is made so large that
-    # the symbol of -Delta* underflows to 0: A = diag(V), which LAPACK
-    # splits at once, and every shift A - z is exactly singular.
-    params = LameParams(0.0, 1.0)
+    # real memory: the growth of the peak resident set (VmHWM) over the
+    # resident set (VmRSS) just before one solve, in a fresh interpreter with
+    # one BLAS thread.  The warm-up runs a tiny solve and loads what a
+    # process pays for once: numpy.random, which draws the start vector of
+    # the inverse iteration (1.8 MB resident), and on the eig route
+    # scipy.linalg.  ru_maxrss would not do: a child's starts at its
+    # parent's peak.  The buffers held do not depend on the values, so the
+    # cell is made so large that the symbol of -Delta* underflows to 0:
+    # A = diag(V), which LAPACK splits at once, and every shift A - z is
+    # exactly singular.
     for order, tau_filter, route in ((512, 509.5, "inverse_iteration"),
                                      (1152, 1149.5, "inverse_iteration"),
                                      (512, 0.5, "eig")):
-        V = Potential(Lattice(1, order, 1e200), -1.0 - np.arange(order))
-        # the model first: it imports scipy.linalg, whose import would count
-        # in the peak of whichever test solves first
+        run = PEAK_RUN.format(order=order, tau_filter=tau_filter, route=route)
+        got, kept, rejected, finite, new_peak, peak = _fresh_python(run).split()
+        assert got == route
+        assert int(kept) == order - int(rejected)
+        assert finite == "True"
+        assert new_peak == "True"  # the solve set the peak, not the warm-up
         model = _dense_peak_bytes(order)
-        tracemalloc.start()
-        try:
-            res, note = _solve(params, V, tau_filter=tau_filter)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert note["route"] == route
-        assert len(res) == order - res.solver_info["rejected_by_distance"]
-        assert np.all(np.isfinite(res.residuals))
-        assert 0.9 * model <= peak <= model, (order, route, peak, model)
+        assert 0.9 * model <= int(peak) <= model, (order, route, int(peak), model)
+
+
+def test_zgeev_workspace_bound():
+    # the model states zgeev's workspace with left eigenvectors in closed
+    # form; it must cover what the linked LAPACK asks for
+    geev_lwork = get_lapack_funcs("geev_lwork", dtype=np.complex128)
+    for order in [*range(1, 257), 512, 1152, 2048, 4096]:
+        lwork, _ = geev_lwork(order, compute_vl=1, compute_vr=0)
+        assert _zgeev_lwork(order) >= int(lwork.real), order
 
 
 def test_width_and_default_thresholds():
@@ -316,11 +359,13 @@ def test_skipped_solve_still_checks_the_budget():
 
 def test_inverse_iteration_at_an_exact_eigenvalue():
     # A - 2 has an exactly zero pivot; it must not turn the vector into NaN
-    A = np.diag([1.0, 2.0, 3.0, 5.0]).astype(complex)
-    work = np.empty_like(A, order="F")
-    u = _inverse_iteration(A, 2.0, work, np.ones(4, dtype=complex))
+    A = np.asfortranarray(np.diag([1.0, 2.0, 3.0, 5.0]).astype(complex))
+    kept = A.copy()
+    u = _inverse_iteration(A, 2.0, np.ones(4, dtype=complex))
     assert np.all(np.isfinite(u))
     assert np.linalg.norm(A @ u - 2.0 * u) <= 1e-12 * np.linalg.norm(u)
+    # the shifted diagonal is restored bit for bit
+    assert A.tobytes() == kept.tobytes()
 
 
 def test_package_rejects_nan_residual():
