@@ -9,6 +9,7 @@ cubes run from the whole cell down to single cells when n is a power of two.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -319,9 +320,19 @@ def _first_above(cand: np.ndarray, best: float):
 
 # -- Kerman-Sayer ------------------------------------------------------------
 
-# Products formed at once: one leaf of a cube's summation walk, or one chunk
-# of small cubes.  The scan holds two buffers of this size besides O(N).
+# numpy sums a contiguous run along a pairwise tree (pairwise_sum in
+# numpy/_core/src/umath/loops_utils.h.src): a node of more than
+# _PAIRWISE_BLOCK elements is the sum of its halves split at
+# n//2 - (n//2) % 8, and a node of at most that many is one block.
+_PAIRWISE_BLOCK = 128
+
+# Products formed at once: one chunk of small cubes.  A larger cube's
+# summation tree is cut into leaves of at most this many products, and its
+# blocks are formed at most this many products at a time.
 _KS_LEAF = 1 << 16
+
+# Blocks, live or not, whose liveness is decided at once.
+_KS_BATCH = 1 << 14
 
 
 def _ks_windows(lattice: Lattice, side: int, alpha: float) -> np.ndarray:
@@ -367,70 +378,212 @@ def _row_boxes(start: int, stop: int, shape: tuple):
             yield (slice(i1, i1 + 1),) + box
 
 
-def _ks_rows_times(win: np.ndarray, start: int, rows: np.ndarray) -> None:
-    """rows *= kernel rows of the cells start, start+1, ... (row-major)."""
+@functools.lru_cache(maxsize=64)
+def _pairwise_parts(n: int, limit: int):
+    """numpy's summation tree over a run of n elements, cut at nodes of <= limit.
+
+    Returns (starts, sizes, steps): the parts (nodes of at most ``limit``
+    elements whose parent has more) in run order, and per depth, deepest
+    first, which nodes split and which part each other node is.
+    """
+    starts, sizes = np.zeros(1, np.int64), np.array([n], np.int64)
+    depths = []
+    while True:
+        split = sizes > limit
+        depths.append((starts[~split], split))
+        if not split.any():
+            break
+        half = sizes[split] // 2
+        half -= half % 8
+        starts = np.stack([starts[split], starts[split] + half], axis=1).reshape(-1)
+        sizes = np.stack([half, sizes[split] - half], axis=1).reshape(-1)
+    part_starts = np.sort(np.concatenate([s for s, _ in depths]))
+    part_sizes = np.diff(part_starts, append=n)
+    steps = tuple((split, np.searchsorted(part_starts, s)) for s, split in reversed(depths))
+    for a in (part_starts, part_sizes, *(a for step in steps for a in step)):
+        a.flags.writeable = False  # every caller shares the cached arrays
+    return part_starts, part_sizes, steps
+
+
+def _pairwise_combine(sums: np.ndarray, steps) -> np.ndarray:
+    """The root of each row of part sums, added up the tree of ``steps``.
+
+    For sums >= +0.0 that are each np.sum of a part's elements, and +0.0
+    for a part that is all +0.0, the result is that of one np.sum over the
+    whole run, bit for bit: x + 0.0 == x, and a + b == b + a.
+    """
+    vals = None
+    for split, parts in steps:
+        pairs = None if vals is None else vals[:, 0::2] + vals[:, 1::2]
+        if not parts.size:
+            vals = pairs
+        elif pairs is None:
+            vals = sums[:, parts]
+        else:
+            vals = np.empty((len(sums), split.size))
+            vals[:, split] = pairs
+            vals[:, ~split] = sums[:, parts]
+    return vals[:, 0]
+
+
+def _ks_form(win: np.ndarray, w: np.ndarray, x: np.ndarray, y: int, cells: list,
+             out: np.ndarray) -> None:
+    """out = (w_x w_y) k(x, y) for the rows x (ascending) and the cells y, y+1, ...
+
+    ``cells`` holds the boxes (:func:`_row_boxes`) that cover the row-major
+    cells from y on, as many as ``out`` has columns.  The kernel multiplies
+    in from views of ``win``, one per run of consecutive rows along the
+    last axis and box of cells.
+    """
     d = win.ndim // 2
-    r = 0
-    for box in _row_boxes(start, start + len(rows), win.shape[:d]):
-        kern = win[box]
-        m = math.prod(kern.shape[:d])
-        seg = rows[r:r + m].reshape(kern.shape)
-        np.multiply(kern, seg, out=seg)
-        r += m
+    side = win.shape[0]
+    np.einsum("i,j->ij", w[x], w[y:y + out.shape[1]], out=out)
+    cut = (np.flatnonzero((np.diff(x) != 1) | (x[1:] % side == 0)) + 1).tolist()
+    for r0, r1 in zip([0] + cut, cut + [len(x)]):
+        line, x1 = divmod(int(x[r0]), side)
+        rows = tuple(int(i) for i in np.unravel_index(line, (side,) * (d - 1)))
+        rows += (slice(x1, x1 + r1 - r0),)
+        o = 0
+        for box in cells:
+            kern = win[rows + box]
+            size = math.prod(kern.shape[1:])
+            seg = out[r0:r1, o:o + size].reshape(kern.shape)
+            np.multiply(seg, kern, out=seg)
+            o += size
 
 
-def _pairwise_sum(a: int, n: int, leaf, is_zero) -> float:
-    """np.sum of elements a..a+n-1 of a run that is never built.
+def _ks_geometry(cnt: np.ndarray, offset: np.ndarray, size: np.ndarray) -> tuple:
+    """Where the blocks of leaves that start at one column lie, per cube.
 
-    Walks numpy's pairwise-summation tree (``pairwise_sum`` in
-    numpy/_core/src/umath/loops_utils.h.src): a node of n > 128 elements is
-    the sum of its halves split at n//2 - (n//2) % 8.  A node of at most
-    ``_KS_LEAF`` elements is ``leaf(a, n)``, which must be np.sum of those
-    elements; a node where ``is_zero(a, n)`` holds is +0.0.  For elements
-    >= +0.0 the result is that of one np.sum over the run, bit for bit.
+    The blocks start ``offset`` elements after the start of a leaf's first
+    row and hold ``size`` products; ``cnt[c, i]`` counts the live cells of
+    cube c before cell i.  Returns the blocks' row offsets, first columns
+    and products in their first row; the blocks in order of column, size
+    and row, and each one's group (column and size) in that order; and per
+    cube which blocks hold a live column in their first row, and which of
+    those that run on into the next row hold one there.
     """
-    if is_zero(a, n):
-        return 0.0
-    if n <= _KS_LEAF:
-        return leaf(a, n)
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _pairwise_sum(a, n2, leaf, is_zero) + _pairwise_sum(a + n2, n - n2, leaf, is_zero)
+    K = cnt.shape[1] - 1
+    dr, y = np.divmod(offset, K)
+    head = np.minimum(size, K - y)
+    order = np.lexsort((dr, size, y))
+    group = np.cumsum(np.r_[0, (np.diff(y[order]) != 0) | (np.diff(size[order]) != 0)])
+    on = np.flatnonzero(head < size)
+    # at most 1024 groups; numpy sorts int16 keys stably by radix
+    return (dr, y, head, order, group.astype(np.int16), cnt[:, y + head] > cnt[:, y], on,
+            cnt[:, size[on] - head[on]] > 0)
 
 
-def _ks_slab_sum(win: np.ndarray, w: np.ndarray, scale: float, exact: bool,
-                 buf: np.ndarray, counts: dict) -> float:
-    """np.sum of one cube's products (kern * (w_x * w_y)) * scale, x-major.
+def _ks_blocks(win: np.ndarray, W: np.ndarray, live: np.ndarray, scale: float,
+               first: np.ndarray, size: np.ndarray, geometry: tuple,
+               buf: np.ndarray) -> tuple:
+    """Block sums (leaves x blocks) of leaves that start in the rows ``first``.
 
-    Leaves form their rows of products in ``buf`` (at least _KS_LEAF + 2K
-    long).  A node whose rows, or whose columns within one row, all have
-    w == 0 is skipped when ``exact`` says such products are +0.0 (finite w,
-    kernel and scale).
+    ``first`` holds flat rows c K + x, ascending, of leaves whose blocks
+    lie as ``geometry`` (:func:`_ks_geometry`) says and hold ``size``
+    products.  A block is formed only where it pairs two live cells; the
+    others hold +0.0.  Blocks of one size at consecutive columns whose live
+    rows agree are formed as one run in ``buf`` and summed by np.sum along
+    their last axis.  Returns the sums and the products formed.
     """
-    K = w.size
-    nonzero = np.concatenate(([0], np.cumsum(w != 0)))
+    K = W.shape[1]
+    dr, y, head, order, group, cols, on, cols_on = geometry
+    flat = live.reshape(-1)
+    M = flat[first[:, None] + dr] & cols[first // K]
+    if on.size:
+        M[:, on] |= flat[first[:, None] + dr[on] + 1] & cols_on[first // K]
+    # a stable sort of the live blocks by group keeps them by leaf and row,
+    # which is by flat row
+    leaf, k = np.nonzero(M[:, order])
+    del M
+    g = group[k]
+    srt = np.argsort(g, kind="stable")
+    edges = np.searchsorted(g[srt], np.arange(int(group[-1]) + 2))
+    leaf, block = leaf[srt], order[k[srt]]
+    del k, srt
+    r = first[leaf] + dr[block]
+    runs = []
+    for e in map(slice, edges[:-1].tolist(), edges[1:].tolist()):
+        if e.start == e.stop:
+            continue
+        b = block[e.start]
+        if runs:
+            p = runs[-1][-1]
+            bp = block[p.start]
+            if (head[b] == size[b] == size[bp] == head[bp] and y[b] == y[bp] + size[bp]
+                    and np.array_equal(r[e], r[p])):
+                runs[-1].append(e)
+                continue
+        runs.append([e])
+    sums = np.zeros((len(first), len(size)))
+    shape = win.shape[win.ndim // 2:]
+    for run in runs:
+        b = block[run[0].start]
+        m, n = int(size[b]), len(run) * int(size[b])
+        pieces = [(0, int(y[b]), n - m + int(head[b]))]
+        if head[b] < m:
+            pieces.append((1, 0, m - int(head[b])))
+        pieces = [(dx, yp, length, list(_row_boxes(yp, yp + length, shape)))
+                  for dx, yp, length in pieces]
+        rows = r[run[0]]
+        run_sums = np.empty((len(rows), len(run)))
+        step = max(1, _KS_LEAF // n)
+        for seg in np.split(np.arange(len(rows)), np.flatnonzero(np.diff(rows // K)) + 1):
+            cube = int(rows[seg[0]]) // K
+            for i in range(seg[0], seg[-1] + 1, step):
+                at = slice(i, min(i + step, seg[-1] + 1))
+                P = buf[:(at.stop - i) * n].reshape(-1, n)
+                o = 0
+                for dx, yp, length, cells in pieces:
+                    _ks_form(win, W[cube], rows[at] - cube * K + dx, yp, cells,
+                             P[:, o:o + length])
+                    o += length
+                P *= scale
+                np.sum(P.reshape(len(P), -1, m), axis=-1, out=run_sums[at])
+        for j, e in enumerate(run):
+            sums[leaf[e], block[e]] = run_sums[:, j]
+    return sums, int(np.sum(size[block]))
 
-    def is_zero(a, n):
-        x0, x1 = a // K, (a + n - 1) // K + 1
-        y0 = a - x0 * K
-        zero = exact and (nonzero[x1] == nonzero[x0]
-                          or (x1 - x0 == 1 and nonzero[y0 + n] == nonzero[y0]))
-        if zero:
-            counts["products_skipped_zero"] += n
-        return zero
 
-    def leaf(a, n):
-        x0, x1 = a // K, (a + n - 1) // K + 1
-        rows = buf[:(x1 - x0) * K].reshape(x1 - x0, K)
-        np.multiply(w[x0:x1, None], w, out=rows)
-        _ks_rows_times(win, x0, rows)
-        y0 = a - x0 * K
-        products = buf[y0:y0 + n]
-        products *= scale
-        counts["products_formed"] += n
-        return np.sum(products)
+def _ks_tree_sums(win: np.ndarray, W: np.ndarray, scale: float, exact: np.ndarray,
+                  counts: dict) -> np.ndarray:
+    """np.sum of each cube's products (kern * (w_x * w_y)) * scale, x-major.
 
-    return _pairwise_sum(0, K * K, leaf, is_zero)
+    Walks numpy's summation tree over each K x K slab without forming it:
+    leaves of at most _KS_LEAF products, then their blocks of at most
+    _PAIRWISE_BLOCK.  Only blocks that pair two cells with w != 0 are
+    formed; every other product is +0.0 when ``exact`` holds for the cube
+    (finite w, kernel and scale), and every cell counts as live where it
+    does not.
+    """
+    cubes, K = W.shape
+    live = (W != 0) | ~exact[:, None]
+    cnt = np.zeros((cubes, K + 1), np.int64)
+    np.cumsum(live, axis=1, out=cnt[:, 1:])
+    leaf_start, leaf_size, leaf_steps = _pairwise_parts(K * K, _KS_LEAF)
+    # a leaf none of whose rows is live is all +0.0
+    rows = leaf_start // K, (leaf_start + leaf_size - 1) // K + 1
+    cube, leaf = np.nonzero(cnt[:, rows[1]] > cnt[:, rows[0]])
+    leaf_sums = np.zeros((cubes, leaf_start.size))
+    buf = np.empty(_KS_LEAF)
+    formed = 0
+    # leaves of one size that start at one column share their blocks' geometry
+    kind = leaf_size[leaf] * K + leaf_start[leaf] % K
+    for k in sorted(set(kind.tolist())):
+        n, y = divmod(k, K)
+        block_start, block_size, block_steps = _pairwise_parts(n, _PAIRWISE_BLOCK)
+        geometry = _ks_geometry(cnt, y + block_start, block_size)
+        of_kind = np.flatnonzero(kind == k)
+        per = max(1, _KS_BATCH // block_start.size)
+        for i in range(0, of_kind.size, per):
+            c, j = cube[of_kind[i:i + per]], leaf[of_kind[i:i + per]]
+            sums, f = _ks_blocks(win, W, live, scale, c * K + rows[0][j], block_size,
+                                 geometry, buf)
+            formed += f
+            leaf_sums[c, j] = _pairwise_combine(sums, block_steps)
+    counts["products_formed"] += formed
+    counts["products_skipped_zero"] += cubes * K * K - formed
+    return _pairwise_combine(leaf_sums, leaf_steps)
 
 
 def _ks_numerators(lattice: Lattice, side: int, alpha: float, W: np.ndarray,
@@ -451,9 +604,7 @@ def _ks_numerators(lattice: Lattice, side: int, alpha: float, W: np.ndarray,
         # a zero weight gives +0.0 products only next to finite factors;
         # kernel row 0 holds the value of every offset
         finite = bool(np.isfinite(scale)) and bool(np.all(np.isfinite(win[(0,) * d])))
-        buf = np.empty(_KS_LEAF + 2 * K)
-        return np.array([_ks_slab_sum(win, w, scale, finite and bool(np.all(np.isfinite(w))),
-                                      buf, counts) for w in W])
+        return _ks_tree_sums(win, W, scale, finite & np.all(np.isfinite(W), axis=1), counts)
     kern = np.empty(win.shape)
     kern[...] = win
     kern = kern.reshape(K, K)
@@ -476,10 +627,13 @@ def _ks_bytes(lattice: Lattice) -> int:
 
     Held throughout: |V|, one level's blocks and its kept blocks (3N
     floats).  Per level: the reflected offset table, (2 side - 1)^dim
-    floats, and either one leaf buffer plus a cube's prefix counts (large
-    cubes) or the cube kernel plus one chunk of slabs (small cubes).  Plus
-    the buffers numpy's ufunc loops may take for strided operands, and 16 kB
-    for index arrays and per-cube scalars.
+    floats, and for small cubes the cube kernel plus one chunk of slabs.
+    Large cubes hold the live cells and their prefix counts (9N/8 words),
+    one buffer of _KS_LEAF products, 8 words per leaf of every cube while
+    the live leaves are found, and 7 words per block of one batch of leaves
+    while its live blocks are found and sorted.  Plus the buffers numpy's
+    ufunc loops may take for strided operands, and 16 kB for index arrays
+    and per-cube scalars.
     """
     npts = lattice.npoints
     d = lattice.dim
@@ -488,7 +642,10 @@ def _ks_bytes(lattice: Lattice) -> int:
         side = lattice.n >> level
         K = side**d
         if K * K > _KS_LEAF:
-            work = _KS_LEAF + 4 * K
+            leaves = _pairwise_parts(K * K, _KS_LEAF)[1]
+            blocks = _pairwise_parts(int(leaves.max()), _PAIRWISE_BLOCK)[0].size
+            batch = min(max(1, _KS_BATCH // blocks), npts // K * leaves.size) * blocks
+            work = _KS_LEAF + 9 * npts // 8 + 8 * npts // K * leaves.size + 7 * batch
         else:
             work = K * K * (1 + min(npts // K, _KS_LEAF // (K * K)))
         worst = max(worst, (2 * side - 1) ** d + work)

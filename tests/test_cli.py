@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from oracles import well_bound_states
 from test_api import _fresh_python
 from lamespectra.cli import main
+from lamespectra.config import lattice_from_config, potential_from_config
+from lamespectra.norms import _level_blocks
 from lamespectra.spectra import _EIG_FALLBACK
 
 WELL_CONFIG = """
@@ -299,6 +301,13 @@ def test_norms_ks_scan_3d_n32_fits(tmp_path):
     # the six dyadic levels hold 6 N^2 products, fewer in cubes of zero mass
     assert counts["products_formed"] + counts["products_skipped_zero"] <= 6 * 32768**2
     assert counts["products_skipped_zero"] > 10 * counts["products_formed"] > 0
+    # only 128-product blocks that pair two nonzero cells are formed: within
+    # 4x the nonzero products of the kept cubes (3.41x is the block floor)
+    cfg = yaml.safe_load(KS_3D_CONFIG)
+    absV = np.abs(potential_from_config(cfg, lattice_from_config(cfg)).values)
+    nonzero = sum(int(np.sum(np.count_nonzero(_level_blocks(absV, 32 >> level), axis=1) ** 2))
+                  for level in range(6))
+    assert counts["products_formed"] <= 4 * nonzero
 
 
 def test_norms_ks_budget_exit_code(tmp_path, capsys):
@@ -315,7 +324,7 @@ def test_norms_ks_budget_exit_code(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
     assert peak < 32 * 1024**2
     err = capsys.readouterr().err
-    assert "N = 32768 cells needs 4.5 MB" in err
+    assert "N = 32768 cells needs 5.7 MB" in err
     assert "budget is 2.0 MB" in err
 
 

@@ -32,7 +32,9 @@ from lamespectra.norms import (
     _mc_bytes,
     _mc_rows,
     _offset_norms,
-    _pairwise_sum,
+    _PAIRWISE_BLOCK,
+    _pairwise_combine,
+    _pairwise_parts,
     check_norm,
     dyadic_level_max,
     dyadic_radius_exponents,
@@ -304,22 +306,24 @@ def test_ks_budget_model_bounds_traced_peak():
 
 
 def _walk(x):
-    """(tree sum, elements skipped) of a 1d run, leaves summed by np.sum."""
-    nonzero = np.concatenate(([0], np.cumsum(x != 0)))
-    skipped = []
-
-    def is_zero(a, n):
-        if nonzero[a + n] == nonzero[a]:
-            skipped.append(n)
-            return True
-        return False
-
-    return _pairwise_sum(0, x.size, lambda a, n: np.sum(x[a:a + n]), is_zero), sum(skipped)
+    """(tree sum, elements skipped) of a 1d run, blocks summed by np.sum."""
+    starts, sizes, steps = _pairwise_parts(x.size, _PAIRWISE_BLOCK)
+    assert sizes.max() <= _PAIRWISE_BLOCK
+    sums = np.zeros((1, starts.size))
+    skipped = 0
+    for i, (a, n) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        if np.any(x[a:a + n]):
+            sums[0, i] = np.sum(x[a:a + n])
+        else:
+            skipped += n
+    (total,) = _pairwise_combine(sums, steps)
+    return total, skipped
 
 
 def _zero_runs(rng, n, longest):
-    # values spread over 1e-9..1e9, alternating with zero runs of up to `longest`
-    x = 10.0 ** rng.uniform(-9.0, 9.0, n)
+    # values of one magnitude, so that every add rounds and a sum in another
+    # order differs; alternating with zero runs of up to `longest`
+    x = rng.uniform(1.0, 2.0, n)
     edges = np.cumsum(rng.integers(1, longest, size=n // longest * 2 + 2))
     for lo, hi in zip(edges[0::2], edges[1::2]):
         x[lo:hi] = 0.0
@@ -329,14 +333,16 @@ def _zero_runs(rng, n, longest):
 @pytest.mark.parametrize("n", [1, 100, 129, _KS_LEAF, _KS_LEAF + 1, _KS_LEAF + 13,
                                200_003, 1 << 20, 3_000_017])
 def test_pairwise_walk_matches_np_sum(n):
-    # numpy's own tree (pairwise_sum, split at n//2 - (n//2) % 8), walked in
-    # Python with np.sum leaves and +0.0 for all-zero nodes, is one np.sum:
-    # this fails if numpy ever changes how it splits a run
+    # numpy's own tree (pairwise_sum: split at n//2 - (n//2) % 8 down to
+    # blocks of at most 128), walked in Python with np.sum blocks and +0.0
+    # for all-zero blocks, is one np.sum: this fails if numpy ever changes
+    # how it splits a run or sums blocks longer than 128 (a shorter block
+    # would split each of ours the way np.sum of it does)
     rng = np.random.default_rng(n)
-    x = _zero_runs(rng, n, 400_000)
+    x = _zero_runs(rng, n, 2000)
     got, skipped = _walk(x)
     assert got == np.sum(x)
-    if n >= 1 << 20:
+    if n > 200_000:
         assert skipped > 0
 
 
@@ -370,7 +376,7 @@ def _ks_potentials(dim, n):
 @pytest.mark.parametrize("dim,n", [(1, 64), (1, 1024), (2, 48), (2, 64), (3, 12), (3, 16)])
 def test_ks_numerators_match_in_memory_oracle(dim, n):
     # every cube of every level, against the former route that holds each
-    # slab; the grids take the leaf walk (straddling rows at n = 48 and 12)
+    # slab; the grids take the block walk (blocks straddle rows at n = 48 and 12)
     # and the chunked small cubes
     lat = Lattice(dim, n)
     for name, values in _ks_potentials(dim, n).items():
@@ -391,8 +397,9 @@ def test_ks_numerators_match_in_memory_oracle(dim, n):
 
 def test_ks_rows_longer_than_a_leaf_skip_zero_columns():
     # 1d n = 2^17: each row of the whole cell splits into two single-row
-    # leaves, and only the half holding both cells is formed; the slab
-    # (1.7e10 products) has two nonzero entries, whose sum is exact
+    # leaves, and only the 128-product blocks of the rows a and b that hold
+    # column a or b are formed; the slab (1.7e10 products) has two nonzero
+    # entries, whose sum is exact
     n = 1 << 17
     lat = Lattice(1, n)
     a, b = 5, 60_000
@@ -403,7 +410,8 @@ def test_ks_rows_longer_than_a_leaf_skip_zero_columns():
     kern = _ks_windows(lat, n, 0.5)
     p = (kern[a, b] * (w[0, a] * w[0, b])) * lat.spacing**2
     assert got == 2.0 * p > 0.0
-    assert counts == {"products_formed": 2 * n // 2, "products_skipped_zero": n * n - n}
+    formed = 4 * _PAIRWISE_BLOCK
+    assert counts == {"products_formed": formed, "products_skipped_zero": n * n - formed}
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
