@@ -331,6 +331,11 @@ _PAIRWISE_BLOCK = 128
 # blocks are formed at most this many products at a time.
 _KS_LEAF = 1 << 16
 
+# Products of one cube's summation tree whose leaves are found at once: a
+# larger slab is walked down to subtrees of at most this many, and smaller
+# slabs are taken this many products' worth of cubes at a time.
+_KS_SPAN = 1 << 30
+
 # Blocks, live or not, whose liveness is decided at once.
 _KS_BATCH = 1 << 14
 
@@ -378,7 +383,7 @@ def _row_boxes(start: int, stop: int, shape: tuple):
             yield (slice(i1, i1 + 1),) + box
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=16)
 def _pairwise_parts(n: int, limit: int):
     """numpy's summation tree over a run of n elements, cut at nodes of <= limit.
 
@@ -403,6 +408,28 @@ def _pairwise_parts(n: int, limit: int):
     for a in (part_starts, part_sizes, *(a for step in steps for a in step)):
         a.flags.writeable = False  # every caller shares the cached arrays
     return part_starts, part_sizes, steps
+
+
+@functools.lru_cache(maxsize=64)
+def _pairwise_census(n: int, limit: int) -> dict:
+    """{size: count} of the parts of :func:`_pairwise_parts`, without listing them.
+
+    The nodes of one depth have at most three distinct sizes, so this takes
+    O(log n) steps and no arrays.  Callers share the cached dict and only
+    read it.
+    """
+    parts, nodes = {}, {n: 1}
+    while nodes:
+        split = {}
+        for size, count in nodes.items():
+            if size <= limit:
+                parts[size] = parts.get(size, 0) + count
+                continue
+            half = size // 2 - (size // 2) % 8
+            for s in (half, size - half):
+                split[s] = split.get(s, 0) + count
+        nodes = split
+    return parts
 
 
 def _pairwise_combine(sums: np.ndarray, steps) -> np.ndarray:
@@ -452,55 +479,45 @@ def _ks_form(win: np.ndarray, w: np.ndarray, x: np.ndarray, y: int, cells: list,
             o += size
 
 
-def _ks_geometry(cnt: np.ndarray, offset: np.ndarray, size: np.ndarray) -> tuple:
-    """Where the blocks of leaves that start at one column lie, per cube.
+def _ks_geometry(K: int, y: int, n: int) -> tuple:
+    """Where the blocks of a leaf of n products from column y on lie.
 
-    The blocks start ``offset`` elements after the start of a leaf's first
-    row and hold ``size`` products; ``cnt[c, i]`` counts the live cells of
-    cube c before cell i.  Returns the blocks' row offsets, first columns
-    and products in their first row; the blocks in order of column, size
-    and row, and each one's group (column and size) in that order; and per
-    cube which blocks hold a live column in their first row, and which of
-    those that run on into the next row hold one there.
+    Returns the blocks' sizes, their row offsets from the leaf's first row,
+    first columns and products in their first row; the blocks that run on
+    into the next row; the leaf's summation steps over its blocks
+    (:func:`_pairwise_parts`); and the blocks in order of column, size and
+    row, with each one's group (one column and size) in that order.
     """
-    K = cnt.shape[1] - 1
-    dr, y = np.divmod(offset, K)
-    head = np.minimum(size, K - y)
-    order = np.lexsort((dr, size, y))
-    group = np.cumsum(np.r_[0, (np.diff(y[order]) != 0) | (np.diff(size[order]) != 0)])
-    on = np.flatnonzero(head < size)
+    start, size, steps = _pairwise_parts(n, _PAIRWISE_BLOCK)
+    dr, col = np.divmod(y + start, K)
+    head = np.minimum(size, K - col)
+    order = np.lexsort((dr, size, col))
+    group = np.cumsum(np.r_[0, (np.diff(col[order]) != 0) | (np.diff(size[order]) != 0)])
     # at most 1024 groups; numpy sorts int16 keys stably by radix
-    return (dr, y, head, order, group.astype(np.int16), cnt[:, y + head] > cnt[:, y], on,
-            cnt[:, size[on] - head[on]] > 0)
+    return (size, dr, col, head, np.flatnonzero(head < size), steps, order,
+            group.astype(np.int16))
 
 
-def _ks_blocks(win: np.ndarray, W: np.ndarray, live: np.ndarray, scale: float,
-               first: np.ndarray, size: np.ndarray, geometry: tuple,
-               buf: np.ndarray) -> tuple:
-    """Block sums (leaves x blocks) of leaves that start in the rows ``first``.
+def _ks_blocks(win: np.ndarray, W: np.ndarray, scale: float, first: np.ndarray,
+               M: np.ndarray, geometry: tuple, buf: np.ndarray) -> np.ndarray:
+    """Block sums (leaves x blocks) of leaves that start in the flat rows ``first``.
 
-    ``first`` holds flat rows c K + x, ascending, of leaves whose blocks
-    lie as ``geometry`` (:func:`_ks_geometry`) says and hold ``size``
-    products.  A block is formed only where it pairs two live cells; the
-    others hold +0.0.  Blocks of one size at consecutive columns whose live
-    rows agree are formed as one run in ``buf`` and summed by np.sum along
-    their last axis.  Returns the sums and the products formed.
+    ``first`` holds rows c K + x, ascending, of leaves whose blocks lie as
+    ``geometry`` (:func:`_ks_geometry`) says; ``M`` marks the live blocks,
+    the only ones formed; the others hold +0.0.  Blocks of one size at
+    consecutive columns whose live rows agree are formed as one run in
+    ``buf``, and each block is summed by np.sum along the run's last axis.
     """
     K = W.shape[1]
-    dr, y, head, order, group, cols, on, cols_on = geometry
-    flat = live.reshape(-1)
-    M = flat[first[:, None] + dr] & cols[first // K]
-    if on.size:
-        M[:, on] |= flat[first[:, None] + dr[on] + 1] & cols_on[first // K]
+    size, dr, col, head, _, _, order, group = geometry
     # a stable sort of the live blocks by group keeps them by leaf and row,
     # which is by flat row
     leaf, k = np.nonzero(M[:, order])
-    del M
     g = group[k]
     srt = np.argsort(g, kind="stable")
     edges = np.searchsorted(g[srt], np.arange(int(group[-1]) + 2))
     leaf, block = leaf[srt], order[k[srt]]
-    del k, srt
+    del g, k, srt
     r = first[leaf] + dr[block]
     runs = []
     for e in map(slice, edges[:-1].tolist(), edges[1:].tolist()):
@@ -510,17 +527,17 @@ def _ks_blocks(win: np.ndarray, W: np.ndarray, live: np.ndarray, scale: float,
         if runs:
             p = runs[-1][-1]
             bp = block[p.start]
-            if (head[b] == size[b] == size[bp] == head[bp] and y[b] == y[bp] + size[bp]
+            if (head[b] == size[b] == size[bp] == head[bp] and col[b] == col[bp] + size[bp]
                     and np.array_equal(r[e], r[p])):
                 runs[-1].append(e)
                 continue
         runs.append([e])
-    sums = np.zeros((len(first), len(size)))
+    sums = np.zeros(M.shape)
     shape = win.shape[win.ndim // 2:]
     for run in runs:
         b = block[run[0].start]
         m, n = int(size[b]), len(run) * int(size[b])
-        pieces = [(0, int(y[b]), n - m + int(head[b]))]
+        pieces = [(0, int(col[b]), n - m + int(head[b]))]
         if head[b] < m:
             pieces.append((1, 0, m - int(head[b])))
         pieces = [(dx, yp, length, list(_row_boxes(yp, yp + length, shape)))
@@ -542,7 +559,82 @@ def _ks_blocks(win: np.ndarray, W: np.ndarray, live: np.ndarray, scale: float,
                 np.sum(P.reshape(len(P), -1, m), axis=-1, out=run_sums[at])
         for j, e in enumerate(run):
             sums[leaf[e], block[e]] = run_sums[:, j]
-    return sums, int(np.sum(size[block]))
+    return sums
+
+
+def _ks_leaves(win: np.ndarray, W: np.ndarray, live: np.ndarray, cnt: np.ndarray,
+               scale: float, first: np.ndarray, y: int, n: int, geometry: tuple,
+               buf: np.ndarray, counts: dict) -> np.ndarray:
+    """np.sum of the n products from column y of each flat row ``first`` on.
+
+    ``first`` holds rows c K + x, ascending, and ``geometry`` is
+    :func:`_ks_geometry` (K, y, n); ``cnt[c, i]`` counts the live cells of
+    cube c before cell i.  A block is live where it pairs a live cell x
+    with a live cell y.  A leaf all of whose blocks are live, as when V is
+    nonzero everywhere, is formed whole from its rows and summed by one
+    np.sum; the others are summed block by block (:func:`_ks_blocks`) and
+    up their tree.  Both give the bits of np.sum over the leaf.
+    """
+    K = W.shape[1]
+    size, dr, col, head, on, steps = geometry[:6]
+    # the cubes of the leaves, and each leaf's among them
+    c = first // K
+    cubes = c[np.flatnonzero(np.diff(c, prepend=-1))]
+    at = np.searchsorted(cubes, c)
+    rows = (y + n - 1) // K + 1
+    row_live = live.reshape(-1)[first[:, None] + np.arange(rows)]
+    M = row_live[:, dr] & (cnt[cubes[:, None], col + head] > cnt[cubes[:, None], col])[at]
+    if on.size:
+        M[:, on] |= row_live[:, dr[on] + 1] & (cnt[cubes[:, None], size[on] - head[on]] > 0)[at]
+    live_blocks = np.count_nonzero(M, axis=0)
+    counts["products_formed"] += int(live_blocks @ size)
+    counts["products_skipped_zero"] += int((len(first) - live_blocks) @ size)
+    whole = M.all(axis=1)
+    out = np.empty(len(first))
+    if not whole.all():
+        out[~whole] = _pairwise_combine(
+            _ks_blocks(win, W, scale, first[~whole], M[~whole], geometry, buf), steps)
+    if whole.any():
+        cells = list(_row_boxes(0, K, win.shape[:win.ndim // 2]))
+        P = buf[:rows * K].reshape(rows, K)
+        for i in np.flatnonzero(whole).tolist():
+            cube, x = divmod(int(first[i]), K)
+            _ks_form(win, W[cube], np.arange(x, x + rows), 0, cells, P)
+            run = buf[y:y + n]
+            run *= scale
+            out[i] = np.sum(run)
+    return out
+
+
+def _ks_span_sums(win: np.ndarray, W: np.ndarray, live: np.ndarray, cnt: np.ndarray,
+                  scale: float, cubes: np.ndarray, a: int, n: int, buf: np.ndarray,
+                  counts: dict) -> np.ndarray:
+    """np.sum of products a..a+n-1 of the slab of each cube in ``cubes``.
+
+    The run is cut into leaves of at most _KS_LEAF products along numpy's
+    tree; a leaf none of whose rows is live is +0.0, and the others are
+    summed by :func:`_ks_leaves`, a batch of leaves that start at one
+    column and hold as many products at a time.
+    """
+    K = W.shape[1]
+    start, size, steps = _pairwise_parts(n, _KS_LEAF)
+    start = a + start
+    x0 = start // K
+    alive = cnt[cubes[:, None], (start + size - 1) // K + 1] > cnt[cubes[:, None], x0]
+    counts["products_skipped_zero"] += int(np.count_nonzero(~alive, axis=0) @ size)
+    i, j = np.nonzero(alive)
+    sums = np.zeros(alive.shape)
+    kind = size[j] * K + start[j] % K
+    for k in sorted(set(kind.tolist())):
+        m, y = divmod(k, K)
+        of_kind = np.flatnonzero(kind == k)
+        geometry = _ks_geometry(K, y, m)
+        per = max(1, _KS_BATCH // geometry[0].size)
+        for b in range(0, of_kind.size, per):
+            ii, jj = i[of_kind[b:b + per]], j[of_kind[b:b + per]]
+            sums[ii, jj] = _ks_leaves(win, W, live, cnt, scale, cubes[ii] * K + x0[jj],
+                                      y, m, geometry, buf, counts)
+    return _pairwise_combine(sums, steps)
 
 
 def _ks_tree_sums(win: np.ndarray, W: np.ndarray, scale: float, exact: np.ndarray,
@@ -550,40 +642,44 @@ def _ks_tree_sums(win: np.ndarray, W: np.ndarray, scale: float, exact: np.ndarra
     """np.sum of each cube's products (kern * (w_x * w_y)) * scale, x-major.
 
     Walks numpy's summation tree over each K x K slab without forming it:
-    leaves of at most _KS_LEAF products, then their blocks of at most
-    _PAIRWISE_BLOCK.  Only blocks that pair two cells with w != 0 are
-    formed; every other product is +0.0 when ``exact`` holds for the cube
-    (finite w, kernel and scale), and every cell counts as live where it
-    does not.
+    subtrees of at most _KS_SPAN products, their leaves of at most _KS_LEAF,
+    and the leaves' blocks of at most _PAIRWISE_BLOCK.  Only blocks that
+    pair two cells with w != 0 are formed; every other product is +0.0 when
+    ``exact`` holds for the cube (finite w, kernel and scale), and every
+    cell counts as live where it does not.
     """
     cubes, K = W.shape
     live = (W != 0) | ~exact[:, None]
     cnt = np.zeros((cubes, K + 1), np.int64)
     np.cumsum(live, axis=1, out=cnt[:, 1:])
-    leaf_start, leaf_size, leaf_steps = _pairwise_parts(K * K, _KS_LEAF)
-    # a leaf none of whose rows is live is all +0.0
-    rows = leaf_start // K, (leaf_start + leaf_size - 1) // K + 1
-    cube, leaf = np.nonzero(cnt[:, rows[1]] > cnt[:, rows[0]])
-    leaf_sums = np.zeros((cubes, leaf_start.size))
-    buf = np.empty(_KS_LEAF)
-    formed = 0
-    # leaves of one size that start at one column share their blocks' geometry
-    kind = leaf_size[leaf] * K + leaf_start[leaf] % K
-    for k in sorted(set(kind.tolist())):
-        n, y = divmod(k, K)
-        block_start, block_size, block_steps = _pairwise_parts(n, _PAIRWISE_BLOCK)
-        geometry = _ks_geometry(cnt, y + block_start, block_size)
-        of_kind = np.flatnonzero(kind == k)
-        per = max(1, _KS_BATCH // block_start.size)
-        for i in range(0, of_kind.size, per):
-            c, j = cube[of_kind[i:i + per]], leaf[of_kind[i:i + per]]
-            sums, f = _ks_blocks(win, W, live, scale, c * K + rows[0][j], block_size,
-                                 geometry, buf)
-            formed += f
-            leaf_sums[c, j] = _pairwise_combine(sums, block_steps)
-    counts["products_formed"] += formed
-    counts["products_skipped_zero"] += cubes * K * K - formed
-    return _pairwise_combine(leaf_sums, leaf_steps)
+    buf = np.empty(_KS_LEAF + 2 * K)
+
+    def span(c, a, n):
+        return _ks_span_sums(win, W, live, cnt, scale, c, a, n, buf, counts)
+
+    if K * K <= _KS_SPAN:
+        per = _KS_SPAN // (K * K)
+        return np.concatenate([span(np.arange(c, min(c + per, cubes)), 0, K * K)
+                               for c in range(0, cubes, per)])
+    return np.array([_ks_walk(functools.partial(span, np.array([c])), cnt[c], 0, K * K, counts)
+                     for c in range(cubes)])
+
+
+def _ks_walk(span, cnt: np.ndarray, a: int, n: int, counts: dict) -> float:
+    """np.sum of products a..a+n-1 of a slab, down numpy's tree to ``span``.
+
+    ``cnt[i]`` counts the slab's live cells before cell i, and ``span(a,
+    n)`` sums a subtree of at most _KS_SPAN products; a subtree none of
+    whose rows is live is +0.0.
+    """
+    K = cnt.size - 1
+    if cnt[(a + n - 1) // K + 1] == cnt[a // K]:
+        counts["products_skipped_zero"] += n
+        return 0.0
+    if n <= _KS_SPAN:
+        return span(a, n)[0]
+    half = n // 2 - (n // 2) % 8
+    return _ks_walk(span, cnt, a, half, counts) + _ks_walk(span, cnt, a + half, n - half, counts)
 
 
 def _ks_numerators(lattice: Lattice, side: int, alpha: float, W: np.ndarray,
@@ -626,30 +722,38 @@ def _ks_bytes(lattice: Lattice) -> int:
     """Modelled peak of the KS scan, in bytes.
 
     Held throughout: |V|, one level's blocks and its kept blocks (3N
-    floats).  Per level: the reflected offset table, (2 side - 1)^dim
-    floats, and for small cubes the cube kernel plus one chunk of slabs.
-    Large cubes hold the live cells and their prefix counts (9N/8 words),
-    one buffer of _KS_LEAF products, 8 words per leaf of every cube while
-    the live leaves are found, and 7 words per block of one batch of leaves
-    while its live blocks are found and sorted.  Plus the buffers numpy's
-    ufunc loops may take for strided operands, and 16 kB for index arrays
-    and per-cube scalars.
+    floats), and the summation trees cached for large cubes (4 words per
+    part, 256 per tree).  Per level: the reflected offset table, (2 side -
+    1)^dim floats, and for small cubes the cube kernel plus one chunk of
+    slabs.  Large cubes hold the live cells and their prefix counts (9N/8
+    words), a buffer of _KS_LEAF + 2K products, 6 words per leaf of the
+    cubes whose leaves are found at once, 8 words per block of a leaf for
+    its layout, and 7 words per block of one batch of leaves while its live
+    blocks are found and sorted.  The trees are counted
+    (:func:`_pairwise_census`), not built.  Plus the buffers numpy's ufunc
+    loops may take for strided operands, and 16 kB for index arrays and
+    per-cube scalars.
     """
     npts = lattice.npoints
     d = lattice.dim
-    worst = 0
+    worst = cached = 0
     for level in range(dyadic_level_max(lattice.n) + 1):
         side = lattice.n >> level
         K = side**d
         if K * K > _KS_LEAF:
-            leaves = _pairwise_parts(K * K, _KS_LEAF)[1]
-            blocks = _pairwise_parts(int(leaves.max()), _PAIRWISE_BLOCK)[0].size
-            batch = min(max(1, _KS_BATCH // blocks), npts // K * leaves.size) * blocks
-            work = _KS_LEAF + 9 * npts // 8 + 8 * npts // K * leaves.size + 7 * batch
+            leaves = [sum(_pairwise_census(s, _KS_LEAF).values())
+                      for s in _pairwise_census(K * K, _KS_SPAN)]
+            blocks = [sum(_pairwise_census(m, _PAIRWISE_BLOCK).values())
+                      for s in _pairwise_census(K * K, _KS_SPAN)
+                      for m in _pairwise_census(s, _KS_LEAF)]
+            cached += sum(4 * parts + 256 for parts in leaves + blocks)
+            at_once = min(npts // K, max(1, _KS_SPAN // (K * K))) * max(leaves)
+            work = (_KS_LEAF + 2 * K + 9 * npts // 8 + 6 * at_once + 8 * max(blocks)
+                    + 7 * min(_KS_BATCH, at_once * max(blocks)))
         else:
             work = K * K * (1 + min(npts // K, _KS_LEAF // (K * K)))
         worst = max(worst, (2 * side - 1) ** d + work)
-    return 8 * (3 * npts + worst + 2 * np.getbufsize() + 2048)
+    return 8 * (3 * npts + cached + worst + 2 * np.getbufsize() + 2048)
 
 
 def kerman_sayer_norm(V: Potential, alpha: float, eps_mass: float = EPS_MASS,

@@ -324,7 +324,7 @@ def test_norms_ks_budget_exit_code(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
     assert peak < 32 * 1024**2
     err = capsys.readouterr().err
-    assert "N = 32768 cells needs 5.7 MB" in err
+    assert "N = 32768 cells needs 6.6 MB" in err
     assert "budget is 2.0 MB" in err
 
 

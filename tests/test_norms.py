@@ -19,11 +19,13 @@ from oracles import (
 from lamespectra import trace
 from lamespectra.config import lattice_from_config, potential_from_config
 from lamespectra.lame import Potential
-from lamespectra.lattice import BudgetExceeded, Lattice, ScalarField
+from lamespectra import norms
+from lamespectra.lattice import DEFAULT_BUDGET_BYTES, BudgetExceeded, Lattice, ScalarField
 from lamespectra.potentials import gaussian_bump
 from lamespectra.serialize import plain
 from lamespectra.norms import (
     _KS_LEAF,
+    _KS_SPAN,
     _ks_bytes,
     _ks_numerators,
     _ks_windows,
@@ -33,6 +35,7 @@ from lamespectra.norms import (
     _mc_rows,
     _offset_norms,
     _PAIRWISE_BLOCK,
+    _pairwise_census,
     _pairwise_combine,
     _pairwise_parts,
     check_norm,
@@ -302,6 +305,23 @@ def test_ks_budget_model_bounds_traced_peak():
         kerman_sayer_norm(V, 0.5, budget_bytes=need - 1)
 
 
+def test_ks_budget_model_is_arithmetic():
+    # the guard counts the summation trees and allocates none: a grid far
+    # over the default budget is refused from a small peak, and the model
+    # grows with N as the scan's own memory does
+    tracemalloc.start()
+    try:
+        need = _ks_bytes(Lattice(3, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need > DEFAULT_BUDGET_BYTES
+    assert peak < 64 * 1024
+    for dim, n in [(1, 1 << 20), (2, 1024), (3, 128)]:
+        lat = Lattice(dim, n)
+        assert _ks_bytes(lat) < min(DEFAULT_BUDGET_BYTES, 256 * lat.npoints)
+
+
 # -- the Kerman-Sayer summation tree -----------------------------------------
 
 
@@ -344,6 +364,14 @@ def test_pairwise_walk_matches_np_sum(n):
     assert got == np.sum(x)
     if n > 200_000:
         assert skipped > 0
+
+
+@pytest.mark.parametrize("n,limit", [(1, 128), (129, 128), (200_003, 128), (65_536, 128),
+                                     (1 << 20, _KS_LEAF), (5_308_416, _KS_LEAF),
+                                     (3_000_017, _KS_LEAF)])
+def test_pairwise_census_counts_the_parts(n, limit):
+    sizes, counts = np.unique(_pairwise_parts(n, limit)[1], return_counts=True)
+    assert _pairwise_census(n, limit) == dict(zip(sizes.tolist(), counts.tolist()))
 
 
 def test_pairwise_walk_matches_np_sum_on_2d_slab():
@@ -393,6 +421,24 @@ def test_ks_numerators_match_in_memory_oracle(dim, n):
             skipped += counts["products_skipped_zero"]
         # compact supports skip whole subtrees; a full support skips nothing
         assert (skipped > 0) == (tree > 0 and name != "random"), name
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1024), (2, 48), (2, 64), (3, 12)])
+def test_ks_numerators_split_into_spans_match_oracle(dim, n, monkeypatch):
+    # slabs larger than a span are walked down to subtrees of at most
+    # _KS_SPAN products; a small span takes that walk on these grids, with
+    # subtrees that start inside rows at n = 48 and 12
+    monkeypatch.setattr(norms, "_KS_SPAN", 1 << 18)
+    lat = Lattice(dim, n)
+    for name, values in _ks_potentials(dim, n).items():
+        absV = np.abs(values)
+        for level in range(2):
+            side = n >> level
+            W = _level_blocks(absV, side)
+            counts = {"products_formed": 0, "products_skipped_zero": 0}
+            got = _ks_numerators(lat, side, 0.5, W, counts)
+            assert np.array_equal(got, ks_numerators_in_memory(lat, side, 0.5, W)), (name, side)
+            assert sum(counts.values()) == W.size * side**dim
 
 
 def test_ks_rows_longer_than_a_leaf_skip_zero_columns():
