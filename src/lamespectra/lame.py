@@ -162,6 +162,11 @@ def split_resolvent(params: LameParams, z: complex, lattice: Lattice):
     inverse transform, leaves ``g`` untouched and returns a read-only field.
     """
     _check_admissible(z)
+    return _split_resolvent(params, z, lattice)
+
+
+def _split_resolvent(params: LameParams, z: complex, lattice: Lattice):
+    """:func:`split_resolvent` at any z off the ray, with no check."""
     xi2 = lattice.frequency_norm2
     shear = np.reciprocal(params.mu * xi2 - z)
     diff = np.reciprocal(params.longitudinal * xi2 - z) - shear

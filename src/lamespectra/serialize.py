@@ -150,8 +150,7 @@ def read_report(path) -> dict:
 def write_metadata(path, extra: dict | None = None) -> Path:
     """Write the varying run info and environment next to ``path``; return the sidecar."""
     sidecar = Path(str(path) + ".meta.json")
-    # the dense eigenvalues and LUs run in numpy's LAPACK; only the eig route
-    # of a solve with more than 40 survivors runs in the recorded scipy's
+    # all dense linear algebra runs in numpy's LAPACK, none in scipy's
     deps = np.show_config(mode="dicts")["Build Dependencies"]
     blas, lapack = deps["blas"], deps["lapack"]
     env = {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas.get("name"),

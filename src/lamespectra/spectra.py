@@ -8,18 +8,16 @@ essential-spectrum ray [0, inf) and accepted only with a matrix-free
 residual below tolerance.
 
 The dense eigensolve computes eigenvalues first and eigenvectors only for
-the few that pass the distance filter, one LU of ``A - z`` each.  Its memory
-model, :func:`_dense_peak_bytes`, counts what assembly plus solve really
-hold: the operator matrix and one copy of the same size, which LAPACK
-overwrites, plus workspace and BLAS scratch.  It is skipped when the
-numerical range shows that no eigenvalue can pass the distance filter
-(:func:`_ray_reach`).
+the few that pass the distance filter, each from the Birman-Schwinger kernel
+on the support of V: one LU of ``I + V R0(z)``, similar to ``I + K(z)``,
+whose order is the dimension times the support size.  Its memory model,
+:func:`_dense_peak_bytes`, counts what assembly plus solve really hold: the
+operator matrix and one copy of the same size, which LAPACK overwrites,
+plus workspace and BLAS scratch.  It is skipped when the numerical range
+shows that no eigenvalue can pass the distance filter (:func:`_ray_reach`).
 
-The eigenvalues and the LUs run through ``numpy.linalg``, whose LAPACK is
-loaded with numpy.  Only the ``eig`` route of :func:`discrete_eigenvalues`,
-taken when more than 40 eigenvalues pass the filter, imports
-``scipy.linalg``; every other command, and every budget check, leaves it
-unloaded.
+All dense linear algebra runs through ``numpy.linalg``, whose LAPACK is
+loaded with numpy; no command loads ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from .lame import (
     Potential,
     _check_admissible,
     _shifted_symbols,
+    _split_resolvent,
     apply_perturbed,
     distance_to_ray,
     split_resolvent,
@@ -87,37 +86,35 @@ def default_tau_res(params: LameParams, lattice: Lattice) -> float:
 def _blas_scratch_bytes(order: int) -> int:
     """Resident memory a dense solve holds beyond its arrays, with one BLAS thread.
 
-    OpenBLAS's packing buffers: an LU touches about 2 KB of them per row
-    plus 0.5 MB, and ``zgeev``'s reductions touch partly other pages of the
-    same buffers.  Measured in fresh interpreters after a tiny warm-up, from
-    the growth of the peak resident set across a whole solve: 0.7 to 4.4 MB
-    above the rest of the model at orders 256 to 3072 on both routes, most
-    between orders 1536 and 1920 on the inverse-iteration route.  Each
+    OpenBLAS's packing buffers: an LU touches about 2 KB of them per row plus
+    0.5 MB, ``zgeev`` for eigenvalues alone less.  Measured in fresh
+    interpreters after a tiny warm-up, as the growth of the peak resident set
+    across a solve whose vector phase factors I + V R0(z) of the full order:
+    1.3 to 5.5 MB above the rest of the model at orders 256 to 3072.  Each
     further BLAS thread adds about 0.5 MB.
     """
     return 2560 * order + 800_000
 
 
 def _zgeev_lwork(order: int) -> int:
-    """Complex entries of ``zgeev``'s workspace with left eigenvectors.
+    """Complex entries of ``zgeev``'s workspace for eigenvalues alone.
 
     The size the linked LAPACK asks for, stated in closed form so that the
     budget check loads no LAPACK.
     """
-    return max(130 * order, 4325)
+    return max(33 * order, 4523)
 
 
 def _dense_peak_bytes(order: int) -> int:
     """Modelled peak of a dense assembly plus solve of the given order.
 
-    Two complex order^2 matrices: the assembled operator and the copy that
-    LAPACK overwrites (``numpy.linalg``'s copy for the eigenvalues and each
-    LU, or the work matrix beside the eigenvectors of the ``eig`` route,
-    which frees the operator first).  On top come ``zgeev``'s workspace with
-    eigenvectors (:func:`_zgeev_lwork`), 256 bytes per row for the
+    Two complex order^2 matrices: the assembled operator and
+    ``numpy.linalg``'s copy that ``zgeev`` overwrites, or later ``I + V R0(z)``
+    (order at most ``order``) and the copy its LU overwrites.  On top come
+    ``zgeev``'s workspace (:func:`_zgeev_lwork`), 256 bytes per row for the
     eigenvalues, ``rwork`` and the vectors in flight, and the BLAS scratch
-    (:func:`_blas_scratch_bytes`).  Assembly alone holds one matrix plus
-    the int64 offset table and stays below this.
+    (:func:`_blas_scratch_bytes`).  Assembly alone holds one matrix, a band
+    of its index table and the tiled kernel tables, and stays below this.
     """
     return (32 * order * order + 16 * _zgeev_lwork(order) + 256 * order
             + _blas_scratch_bytes(order))
@@ -141,35 +138,37 @@ def _check_budget(order: int, budget_bytes: int, dim: int) -> None:
     )
 
 
-def _offset_matrix(lattice: Lattice, points: np.ndarray | None = None,
-                   transpose: bool = False) -> np.ndarray:
-    """Flat index of (a - b) mod n for all point pairs (a, b), or of (b - a)
-    mod n with ``transpose``; points are flat indices."""
-    idx = np.indices(lattice.shape).reshape(lattice.dim, -1)
-    if points is not None:
-        idx = idx[:, points]
-    flat = np.zeros((idx.shape[1], idx.shape[1]), dtype=np.int64)
-    for axis in range(lattice.dim):
-        o = np.subtract.outer(idx[axis], idx[axis])
-        if transpose:
-            np.negative(o, out=o)
-        o %= lattice.n
-        flat *= lattice.n
-        flat += o
-    return flat
+# Entries of the int64 index table a gather holds at once: 256 kB, small beside its matrix
+_GATHER_ENTRIES = 1 << 15
 
 
-def _gather_blocks(tables: np.ndarray, flat_off: np.ndarray) -> np.ndarray:
-    """Assemble the dense block matrix from kernel tables (d, d, *grid).
+def _gather_blocks(tables: np.ndarray, lattice: Lattice, points: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Assemble the dense block matrix from kernel tables (d, d, *grid), on flat grid points.
 
-    Each block is gathered straight into its place in the output.
+    Entry (a, b) of block (j, k) is table (j, k) at the offset (a - b) mod n.
+    The tables are tiled to period 2n, where that offset is a - b + n on
+    every axis: one addition of flat keys per entry, no modulo, no index to
+    clip.  Each band of rows is gathered straight into its place in ``out``,
+    a new array unless given, one contiguous ``take`` per block row.
     """
-    d, size = tables.shape[0], flat_off.shape[0]
-    out = np.empty((d * size, d * size), dtype=tables.dtype)
-    blocks = out.reshape(d, size, d, size)
-    for j in range(d):
-        for k in range(d):
-            np.take(tables[j, k].reshape(-1), flat_off, out=blocks[j, :, k, :], mode="wrap")
+    tiled = np.tile(tables, (1, 1) + (2,) * lattice.dim)
+    d, period, grid = tables.shape[0], tiled[0, 0].size, tiled.shape[2:]
+    key = np.ravel_multi_index(np.indices(lattice.shape), grid).reshape(-1)
+    if points is not None:
+        key = key[points]
+    size, shift = len(key), np.ravel_multi_index((lattice.n,) * lattice.dim, grid)
+    cols = (np.arange(d)[:, None] * period + shift - key).reshape(-1)  # block k: table (j, k)
+    if out is None:
+        out = np.empty((d * size, d * size), dtype=tables.dtype)
+    rows = out.reshape(d, size, d * size)
+    flat = tiled.reshape(d, -1)
+    step = max(1, _GATHER_ENTRIES // max(d * size, 1))
+    for lo in range(0, size, step):
+        band = slice(lo, lo + step)
+        flat_off = np.add.outer(key[band], cols)
+        for j in range(d):
+            np.take(flat[j], flat_off, out=rows[j, band], mode="clip")  # "raise" buffers
     return out
 
 
@@ -182,15 +181,10 @@ def _kernel_tables(lattice: Lattice, symbols: np.ndarray) -> np.ndarray:
 
 def dense_lame_matrix(params: LameParams, lattice: Lattice,
                       budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
-    """Dense matrix of -Delta* in the component-major flat layout, Fortran-ordered.
-
-    It is gathered as its transpose in C order (block (j, k) of the
-    transpose is block (k, j) of the matrix at the negated offsets), so the
-    LUs of :func:`_inverse_iteration` copy it column by column.
-    """
+    """Dense matrix of -Delta* in the component-major flat layout."""
     _check_budget(lattice.dim * lattice.npoints, budget_bytes, lattice.dim)
     tables = _kernel_tables(lattice, _shifted_symbols(params, lattice, 0.0))
-    return _gather_blocks(tables.swapaxes(0, 1), _offset_matrix(lattice, transpose=True)).T
+    return _gather_blocks(tables, lattice)
 
 
 def dense_operator_matrix(params: LameParams, V: Potential,
@@ -209,12 +203,24 @@ def dense_operator_matrix(params: LameParams, V: Potential,
 def dense_resolvent_matrix(params: LameParams, z: complex, lattice: Lattice,
                            points: np.ndarray | None = None,
                            budget_bytes: int = DEFAULT_BUDGET_BYTES) -> np.ndarray:
-    """Dense resolvent of -Delta*, optionally restricted to flat grid points."""
+    """Dense resolvent of -Delta*, optionally restricted to flat grid points; Fortran-ordered."""
     _check_admissible(z)
     npts = lattice.npoints if points is None else len(points)
     _check_budget(lattice.dim * npts, budget_bytes, lattice.dim)
-    tables = _kernel_tables(lattice, np.linalg.inv(_shifted_symbols(params, lattice, z)))
-    return _gather_blocks(tables, _offset_matrix(lattice, points))
+    return _resolvent_matrix(_shifted_symbols(params, lattice, z), lattice, points)
+
+
+def _resolvent_matrix(shifted: np.ndarray, lattice: Lattice, points: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`dense_resolvent_matrix` from the symbols M(xi) - z I, with no check on z.
+
+    Fortran-ordered for the LUs: ``out`` (new unless given) takes the transpose,
+    gathered from the transposed tables (block (j, k) at x is block (k, j) at -x).
+    """
+    tables = _kernel_tables(lattice, np.linalg.inv(shifted))
+    grid = tuple(range(2, 2 + lattice.dim))
+    transposed = np.roll(np.flip(tables.swapaxes(0, 1), grid), 1, grid)
+    return _gather_blocks(transposed, lattice, points, out).T
 
 
 # -- eigenvalues -------------------------------------------------------------
@@ -238,13 +244,9 @@ def _vector_from_flat(lattice: Lattice, vec: np.ndarray) -> VectorField:
 
 
 def _operator_residual(params: LameParams, V: Potential, z: complex, u: VectorField) -> float:
+    norm = l2_norm(u)  # 0 when V = 0 leaves no kernel to take a vector from
     r = apply_perturbed(params, V, u) - z * u
-    return l2_norm(r) / l2_norm(u)
-
-
-def _far_from_ray(z, tau_filter: float):
-    """The distance filter, the one test of whether an eigenvalue gets a vector (elementwise)."""
-    return distance_to_ray(z) > tau_filter
+    return l2_norm(r) / norm if norm else float("nan")
 
 
 def _ray_reach(params: LameParams, V: Potential) -> float:
@@ -264,14 +266,11 @@ def _ray_reach(params: LameParams, V: Potential) -> float:
 
 
 def _package(params, V, pairs, tau_filter, tau_res, info, unsolved=0) -> SpectralResult:
-    """Filter (z, u) pairs; ``unsolved`` uncomputed eigenvalues count as rejected by distance."""
+    """Filter (z, u) pairs by residual; ``unsolved`` eigenvalues count as rejected by distance."""
     kept = []
-    by_distance, by_residual = unsolved, 0
+    by_residual = 0
     with trace.stage("filter.residual") as note:
         for z, u in pairs:
-            if not _far_from_ray(z, tau_filter):
-                by_distance += 1
-                continue
             res = _operator_residual(params, V, z, u)
             if not res < tau_res:  # a NaN residual fails too
                 by_residual += 1
@@ -290,39 +289,49 @@ def _package(params, V, pairs, tau_filter, tau_res, info, unsolved=0) -> Spectra
             "dim": V.lattice.dim,
             "n": V.lattice.n,
             "period": V.lattice.period,
-            "rejected_by_distance": by_distance,
+            "rejected_by_distance": unsolved,
             "rejected_by_residual": by_residual,
         }
     )
     return SpectralResult(eigenvalues, residuals, distances, info)
 
 
-def _inverse_iteration(A: np.ndarray, z: complex, start: np.ndarray) -> np.ndarray:
-    """One inverse-iteration step: solve (A - z) u = start through an LU.
+def _eigenvector_step(params: LameParams, V: Potential):
+    """The map z -> eigenvector of -Delta* + V at z, and the order of its LU.
 
-    ``A`` should be Fortran-ordered, so that ``numpy.linalg.solve`` copies it
-    column by column.  Its diagonal is shifted in place and restored, bit for
-    bit, afterwards.  When z is an exact eigenvalue, so that ``A - z`` has an
-    exactly zero pivot, the shift moves by eps ||A||_1 (LAPACK's zhsein
-    perturbs such a pivot by the same amount) and the vector stays finite.
+    By the Birman-Schwinger principle z is an eigenvalue exactly when -1 is
+    one of K(z) = V_1/2 R0(z) |V|^1/2 on the support of V, so when I + V R0(z),
+    similar to I + K(z) by |V|^1/2 and one scaling cheaper, is singular.  One
+    inverse-iteration step: (I + V R0(z)) psi = start (fixed-seed random, as
+    eigenvectors of symmetric potentials can be orthogonal to constants),
+    then u = -R0(z) psi, so (-Delta* + V - z) u = -start.  An exactly zero
+    pivot moves the diagonal by eps ||I + V R0(z)||_1, as LAPACK's zhsein
+    does, and the vector stays finite.  One work array holds every matrix.
     """
-    diagonal = A.diagonal().copy()
-    try:
-        np.fill_diagonal(A, diagonal - z)
+    lat = V.lattice
+    points = np.flatnonzero(V.support_mask.reshape(-1))
+    order = lat.dim * len(points)
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+    symbols = _shifted_symbols(params, lat, 0.0)
+    scale = np.tile(V.values.reshape(-1)[points], lat.dim)[:, None]
+    work = np.empty((order, order), dtype=complex)
+
+    def vector(z: complex) -> VectorField:
+        T = _resolvent_matrix(symbols - z * np.eye(lat.dim), lat, points, work)
+        T *= scale
+        diagonal = np.einsum("ii->i", T)  # a writable view
+        diagonal += 1.0
         try:
-            return np.linalg.solve(A, start)
+            psi = np.linalg.solve(T, start)
         except np.linalg.LinAlgError:
-            np.fill_diagonal(A, diagonal)
-            norm1 = max(np.abs(column).sum() for column in A.T)  # no order^2 temporary
-            np.fill_diagonal(A, diagonal - (z + np.finfo(float).eps * norm1))
-            return np.linalg.solve(A, start)
-    finally:
-        np.fill_diagonal(A, diagonal)
+            diagonal -= np.finfo(float).eps * max(np.abs(column).sum() for column in T.T)
+            psi = np.linalg.solve(T, start)
+        g = np.zeros((lat.dim, lat.npoints), dtype=complex)
+        g[:, points] = -psi.reshape(lat.dim, -1)
+        return _split_resolvent(params, z, lat)(_vector_from_flat(lat, g))
 
-
-# More survivors of the distance filter than this, and one full ``eig`` is
-# cheaper than an LU per survivor.
-_EIG_FALLBACK = 40
+    return vector, order
 
 
 def discrete_eigenvalues(params: LameParams, V: Potential,
@@ -334,19 +343,16 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
     When ``tau_filter`` is at least :func:`_ray_reach`, the filter must
     reject every eigenvalue: nothing is assembled or solved (route
     ``numerical_range``).  Otherwise dense assembly, then LAPACK ``zgeev``
-    through ``numpy.linalg.eigvals`` for the eigenvalues alone.  Each
-    eigenvalue farther than ``tau_filter`` from the ray gets its vector from
-    one inverse-iteration step through an LU of ``A - z``, started from a
-    fixed-seed random vector (eigenvectors of symmetric potentials can be
-    orthogonal to constants).  When more than 40 survive, one
-    ``scipy.linalg.eig`` with all eigenvectors, which overwrites its input,
-    replaces the LUs: an LU costs 1/32 to 1/60 of an ``eig`` at orders 192
-    to 2048 with one BLAS thread.  Raises :class:`BudgetExceeded` when the
-    solve would not fit the budget, skipped or not.  Every reported
-    eigenvalue carries a matrix-free residual below ``tau_res``.  A NaN or
-    negative ``tau_filter`` or a ``tau_res`` that is not positive raises
-    ValueError.  The call logs trace stage ``dense.eig`` with its ``route``
-    and the number of ``lu_solves``; nested in it and logged before it come
+    through ``numpy.linalg.eigvals`` for the eigenvalues alone, and the
+    operator is freed.  Each eigenvalue farther than ``tau_filter`` from the ray
+    gets its vector from one LU on the support of V (:func:`_eigenvector_step`).
+    Raises :class:`BudgetExceeded` when the solve would not fit, skipped or
+    not.  Every reported eigenvalue carries a matrix-free residual below
+    ``tau_res``.  A NaN or negative ``tau_filter`` or a ``tau_res`` that is
+    not positive raises ValueError.  The call logs trace stage ``dense.eig``
+    with its ``route``, the number of ``lu_solves`` and, on the
+    ``inverse_iteration`` route, the ``kernel_order``; nested in it and
+    logged before it come
     ``dense.assemble`` with the ``matrix_order`` (not on the
     ``numerical_range`` route) and ``filter.residual`` with the residuals
     ``checked`` and ``rejected``.
@@ -368,27 +374,16 @@ def discrete_eigenvalues(params: LameParams, V: Potential,
         with trace.stage("dense.assemble") as assembled:
             A = dense_operator_matrix(params, V, budget_bytes=budget_bytes)
             assembled.update(matrix_order=order)
-        # of A^T, the matrix the eig route factors for its left vectors
+        # of A^T, not A: the eigenvalue bits the reports were recorded with
         w = np.linalg.eigvals(A.T)
-        far = _far_from_ray(w, tau_filter)
-        if np.count_nonzero(far) > _EIG_FALLBACK:
-            import scipy.linalg
-
-            work = np.asfortranarray(A.T)
-            del A  # the eigenvectors take the operator's place in the memory model
-            w, vl = scipy.linalg.eig(work, left=True, right=False, overwrite_a=True,
-                                     check_finite=False)
-            # a left eigenvector of A^T is the conjugate of a right one of A
-            pairs = ((w[i], _vector_from_flat(lat, vl[:, i].conj())) for i in range(order))
-            note.update(route="eig", lu_solves=0)
-        else:
-            rng = np.random.default_rng(0)
-            start = rng.standard_normal(order) + 1j * rng.standard_normal(order)
-            vectors = {i: _vector_from_flat(lat, _inverse_iteration(A, w[i], start))
-                       for i in np.flatnonzero(far)}
-            pairs = ((z, vectors.get(i)) for i, z in enumerate(w))
-            note.update(route="inverse_iteration", lu_solves=len(vectors))
-        return _package(params, V, pairs, tau_filter, tau_res, info)
+        del A
+        survivors = w[distance_to_ray(w) > tau_filter]  # the distance filter
+        vector, kernel_order = _eigenvector_step(params, V)
+        pairs = ((z, vector(z)) for z in survivors)  # lazily: one vector held at a time
+        note.update(route="inverse_iteration", lu_solves=len(survivors),
+                    kernel_order=kernel_order)
+        return _package(params, V, pairs, tau_filter, tau_res, info,
+                        unsolved=order - len(survivors))
 
 
 # -- Birman-Schwinger --------------------------------------------------------

@@ -270,9 +270,10 @@ def well_bound_states(depth, half_width, c):
 def eigenvalues_by_full_eig(params, V, tau_filter=None, tau_res=None):
     """``discrete_eigenvalues`` through ``numpy.linalg.eig`` of the whole matrix.
 
-    Every eigenpair goes to the library's distance and residual filters
-    (``spectra._package``): the slow reference for the library's route,
-    which builds eigenvectors only for eigenvalues past the distance filter.
+    Every eigenpair past the distance filter goes to the library's residual
+    filter (``spectra._package``) with its own eigenvector: the slow
+    reference for the library's route, which builds each of them from the
+    Birman-Schwinger kernel.
     """
     lat = V.lattice
     if tau_filter is None:
@@ -281,9 +282,11 @@ def eigenvalues_by_full_eig(params, V, tau_filter=None, tau_res=None):
         tau_res = spectra.default_tau_res(params, lat)
     A = spectra.dense_operator_matrix(params, V)
     w, vecs = np.linalg.eig(A)
-    pairs = ((w[i], spectra._vector_from_flat(lat, vecs[:, i])) for i in range(len(w)))
+    far = np.flatnonzero(spectra.distance_to_ray(w) > tau_filter)
+    pairs = ((w[i], spectra._vector_from_flat(lat, vecs[:, i])) for i in far)
     info = {"method": "dense", "matrix_order": A.shape[0]}
-    return spectra._package(params, V, pairs, tau_filter, tau_res, info)
+    return spectra._package(params, V, pairs, tau_filter, tau_res, info,
+                            unsolved=len(w) - len(far))
 
 
 def bs_apply(params, V, z, g):

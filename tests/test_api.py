@@ -42,8 +42,8 @@ potential: {family: well, depth: 5.0, half_width: 1.015625}
 solver: {tau_filter: 0.5}
 """
 
-# (run, command, config): every command on a small fixture, and last the one
-# run that takes the eig route (56 bound states pass the distance filter)
+# (run, command, config): every command on a small fixture, and last a run
+# in which 56 bound states pass the distance filter
 RUNS = [
     ("norms", "norms", """
         lattice: {dim: 2, points: 8}
@@ -78,9 +78,9 @@ RUNS = [
 ]
 
 
-def test_only_the_eig_route_loads_scipy_linalg(tmp_path):
+def test_no_command_loads_scipy_linalg(tmp_path):
     # eigenvalues and LUs run through numpy.linalg, so no command loads
-    # scipy.linalg until a dense solve takes the eig route
+    # scipy.linalg, however many eigenvalues pass the distance filter
     for run, _, text in RUNS:
         (tmp_path / f"{run}.yaml").write_text(textwrap.dedent(text))
     code = textwrap.dedent(f"""
@@ -93,16 +93,15 @@ def test_only_the_eig_route_loads_scipy_linalg(tmp_path):
         print(loaded)
     """)
     loaded = _fresh_python(code, cwd=tmp_path).splitlines()[-1]
-    assert loaded == str({run: run == "many-survivors" for run, _, _ in RUNS})
+    assert loaded == str({run: False for run, _, _ in RUNS})
     routes = {run: {stage["route"] for stage in
                     json.loads((tmp_path / run / report).read_text())["trace"]
                     if stage["stage"] == "dense.eig"}
               for run, report in (("spectrum", "spectrum.json.meta.json"),
                                   ("calibrate", "calibration.json.meta.json"),
                                   ("many-survivors", "spectrum.json.meta.json"))}
-    assert routes == {"spectrum": {"inverse_iteration"},
-                      "calibrate": {"inverse_iteration"},
-                      "many-survivors": {"eig"}}
+    assert routes == {run: {"inverse_iteration"}
+                      for run in ("spectrum", "calibrate", "many-survivors")}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -19,9 +19,8 @@ from lamespectra.norms import polynomial_weight
 from lamespectra.potentials import gaussian_bump, random_ensemble, square_well
 from lamespectra.serialize import plain
 from lamespectra.spectra import (
-    _EIG_FALLBACK,
     _dense_peak_bytes,
-    _inverse_iteration,
+    _eigenvector_step,
     _package,
     _ray_reach,
     _zgeev_lwork,
@@ -153,14 +152,11 @@ from lamespectra.lame import LameParams, Potential
 from lamespectra.lattice import Lattice
 from lamespectra.spectra import discrete_eigenvalues
 
-order, tau_filter, route = {order}, {tau_filter}, {route!r}
+order, tau_filter = {order}, {tau_filter}
 a = np.eye(4, dtype=complex) + 1j
 np.linalg.solve(a, a[0])
 np.linalg.eigvals(a)
 np.random.default_rng(0)
-if route == "eig":
-    import scipy.linalg
-    scipy.linalg.eig(a, left=True, right=False)
 
 
 def status(key):
@@ -173,7 +169,8 @@ resident, peak_before = status("VmRSS"), status("VmHWM")
 with trace.record() as stages:
     res = discrete_eigenvalues(LameParams(0.0, 1.0), V, tau_filter=tau_filter)
 peak_after = status("VmHWM")
-print(stages[-1]["route"], len(res), res.solver_info["rejected_by_distance"],
+print(stages[-1]["route"], stages[-1]["kernel_order"], len(res),
+      res.solver_info["rejected_by_distance"],
       bool(np.all(np.isfinite(res.residuals))), peak_after > peak_before,
       peak_after - resident)
 """
@@ -184,31 +181,29 @@ def test_dense_peak_matches_model():
     # resident set (VmRSS) just before one solve, in a fresh interpreter with
     # one BLAS thread.  The warm-up runs a tiny solve and loads what a
     # process pays for once: numpy.random, which draws the start vector of
-    # the inverse iteration (1.8 MB resident), and on the eig route
-    # scipy.linalg.  ru_maxrss would not do: a child's starts at its
-    # parent's peak.  The buffers held do not depend on the values, so the
-    # cell is made so large that the symbol of -Delta* underflows to 0:
-    # A = diag(V), which LAPACK splits at once, and every shift A - z is
-    # exactly singular.
-    for order, tau_filter, route in ((512, 509.5, "inverse_iteration"),
-                                     (1152, 1149.5, "inverse_iteration"),
-                                     (512, 0.5, "eig")):
-        run = PEAK_RUN.format(order=order, tau_filter=tau_filter, route=route)
-        got, kept, rejected, finite, new_peak, peak = _fresh_python(run).split()
-        assert got == route
-        assert int(kept) == order - int(rejected)
+    # the inverse iteration (1.8 MB resident).  ru_maxrss would not do: a
+    # child's starts at its parent's peak.  The buffers held do not depend
+    # on the values, so the cell is made so large that the symbol of
+    # -Delta* underflows to 0: A = diag(V), which LAPACK splits at once.  V
+    # is nonzero on every cell, so the vector phase factors I + V R0(z) of
+    # the full order, three times.
+    for order, tau_filter in ((512, 509.5), (1152, 1149.5)):
+        run = PEAK_RUN.format(order=order, tau_filter=tau_filter)
+        route, kernel_order, kept, rejected, finite, new_peak, peak = _fresh_python(run).split()
+        assert (route, int(kernel_order)) == ("inverse_iteration", order)
+        assert int(kept) == order - int(rejected) == 3
         assert finite == "True"
         assert new_peak == "True"  # the solve set the peak, not the warm-up
         model = _dense_peak_bytes(order)
-        assert 0.9 * model <= int(peak) <= model, (order, route, int(peak), model)
+        assert 0.9 * model <= int(peak) <= model, (order, int(peak), model)
 
 
 def test_zgeev_workspace_bound():
-    # the model states zgeev's workspace with left eigenvectors in closed
+    # the model states zgeev's workspace for eigenvalues alone in closed
     # form; it must cover what the linked LAPACK asks for
     geev_lwork = get_lapack_funcs("geev_lwork", dtype=np.complex128)
     for order in [*range(1, 257), 512, 1152, 2048, 4096]:
-        lwork, _ = geev_lwork(order, compute_vl=1, compute_vr=0)
+        lwork, _ = geev_lwork(order, compute_vl=0, compute_vr=0)
         assert _zgeev_lwork(order) >= int(lwork.real), order
 
 
@@ -295,9 +290,23 @@ def _fast_route_cases():
     # a calibrate member at order 512 with 22 eigenvalues past the filter
     member = random_ensemble(Lattice(2, 16), "gaussian", 1, seed=9)[0]
     cases.append(pytest.param(LameParams(0.5, 1.0), member, 4.3, lu, id="calibrate-member"))
-    # 56 bound states: more than _EIG_FALLBACK
+    # 56 bound states
     well = square_well(Lattice(1, 192, 30.0), 300.0, 5.0)
-    cases.append(pytest.param(WELL_PARAMS, well, 0.5, "eig", id="many-survivors"))
+    cases.append(pytest.param(WELL_PARAMS, well, 0.5, lu, id="many-survivors"))
+    # complex and nonzero on every cell: I + K(z) has the order of A
+    lat = Lattice(2, 8, 3.0)
+    rng = np.random.default_rng(3)
+    values = 20.0 * (rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape))
+    cases.append(pytest.param(LameParams(0.5, 1.0), Potential(lat, values), 0.5, lu,
+                              id="full-support"))
+    # with no distance filter every eigenvalue gets a vector, also those within
+    # 1e-8 of the ray, where bs_kernel refuses z
+    cases.append(pytest.param(LameParams(0.5, 1.0), Potential(lat, values), 0.0, lu,
+                              id="full-support-at-the-ray"))
+    cases.append(pytest.param(WELL_PARAMS, V, 0.0, lu, id="well-128-at-the-ray"))
+    corner = np.where(np.add.outer(np.arange(8), np.arange(8)) < 6, values, 0.0)
+    cases.append(pytest.param(LameParams(0.5, 1.0), Potential(lat, corner), 0.0, lu,
+                              id="compact-2d-at-the-ray"))
     return cases
 
 
@@ -311,9 +320,12 @@ def test_fast_route_matches_full_eig(params, V, tau_filter, route):
     gap = np.abs(fast.eigenvalues - slow.eigenvalues)
     assert np.all(gap <= 1e-10 * np.abs(slow.eigenvalues))
     survivors = fast.solver_info["matrix_order"] - fast.solver_info["rejected_by_distance"]
-    assert (survivors > _EIG_FALLBACK) == (route == "eig")
     assert note["route"] == route
-    assert note["lu_solves"] == (survivors if route == "inverse_iteration" else 0)
+    if route == "inverse_iteration":
+        assert note["lu_solves"] == survivors
+        assert note["kernel_order"] == V.lattice.dim * np.count_nonzero(V.values)
+    else:
+        assert note["lu_solves"] == 0 and survivors == 0
 
 
 def _range_cases():
@@ -358,25 +370,51 @@ def test_skipped_solve_still_checks_the_budget():
 
 
 def test_inverse_iteration_at_an_exact_eigenvalue():
-    # A - 2 has an exactly zero pivot; it must not turn the vector into NaN
-    A = np.asfortranarray(np.diag([1.0, 2.0, 3.0, 5.0]).astype(complex))
-    kept = A.copy()
-    u = _inverse_iteration(A, 2.0, np.ones(4, dtype=complex))
+    # the cell is so large that the symbol of -Delta* underflows to 0:
+    # A = diag(V), R0(z) = I / (-z) and K(z) = diag(V) / (-z).  The square
+    # roots of |V| are exact, so at z = -4 the pivot of I + K(z), and of the
+    # similar I + V R0(z) that the solver factors, is exactly zero; it must
+    # not turn the vector into NaN
+    params = LameParams(0.0, 1.0)
+    V = Potential(Lattice(1, 4, 1e200), np.array([-9.0, -4.0, -1.0, -16.0]))
+    A = dense_operator_matrix(params, V)
+    assert np.array_equal(A, np.diag(V.values))
+    assert bs_kernel(params, V, -4.0)[1, 1] == -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.eye(4) + bs_kernel(params, V, -4.0), np.ones(4))
+    vector, kernel_order = _eigenvector_step(params, V)
+    assert kernel_order == 4
+    u = vector(-4.0).values[0]
     assert np.all(np.isfinite(u))
-    assert np.linalg.norm(A @ u - 2.0 * u) <= 1e-12 * np.linalg.norm(u)
-    # the shifted diagonal is restored bit for bit
-    assert A.tobytes() == kept.tobytes()
+    assert np.linalg.norm(A @ u + 4.0 * u) <= 1e-12 * np.linalg.norm(u)
+    # through the solver, every eigenvalue past the filter keeps its vector
+    res = discrete_eigenvalues(params, V, tau_filter=3.0)
+    assert res.eigenvalues.tolist() == [-16.0, -9.0, -4.0]
+    assert np.all(res.residuals <= 1e-12)
+
+
+def test_zero_potential_below_the_margin_keeps_nothing():
+    # a filter below the numerical range's rounding margin lets the rounding
+    # noise of the ray through; V = 0 has no Birman-Schwinger kernel, so no
+    # such eigenvalue gets a vector and each is rejected by its residual
+    lat = Lattice(1, 32, 5.0)
+    res, note = _solve(LameParams(1.0, 1.0), Potential(lat, np.zeros(32)), tau_filter=0.0)
+    assert (note["route"], note["kernel_order"]) == ("inverse_iteration", 0)
+    assert len(res) == 0
+    assert res.solver_info["rejected_by_residual"] == note["lu_solves"] > 0
 
 
 def test_package_rejects_nan_residual():
-    # a non-finite vector has a NaN residual, which must count as a rejection
+    # a non-finite vector has a NaN residual, which must count as a rejection;
+    # the eigenvalues the distance filter rejected come only as a count
     V, _ = _well_fixture(32)
     lat = V.lattice
     bad = VectorField(lat, np.full((1,) + lat.shape, np.nan, dtype=complex))
-    res = _package(WELL_PARAMS, V, [(-2.0 + 0.0j, bad)], 0.5, 1e-6, {"method": "test"})
+    res = _package(WELL_PARAMS, V, [(-2.0 + 0.0j, bad)], 0.5, 1e-6, {"method": "test"},
+                   unsolved=31)
     assert len(res) == 0
     assert res.solver_info["rejected_by_residual"] == 1
-    assert res.solver_info["rejected_by_distance"] == 0
+    assert res.solver_info["rejected_by_distance"] == 31
 
 
 @pytest.mark.parametrize("tau_filter, tau_res", [
