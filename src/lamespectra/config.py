@@ -77,11 +77,15 @@ _real, _integer, _positive = _number(), _number(integral=True), _number(lo=0, st
 
 
 def _complex(value, where, lattice=None) -> complex:
+    """A [re, im] pair or one number, each read as :func:`_real` reads it."""
     if isinstance(value, list) and len(value) == 2:
         return complex(_real(value[0], f"{where}[0]"), _real(value[1], f"{where}[1]"))
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    try:
         return complex(_real(value, where))
-    raise ConfigError(f"{where} must be a number or a [re, im] pair, got {value!r}")
+    except ConfigError:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            raise  # a number, but not a finite one
+        raise ConfigError(f"{where} must be a number or a [re, im] pair, got {value!r}") from None
 
 
 def _flag(value, where, lattice=None) -> bool:
@@ -277,6 +281,13 @@ def check_config(cfg: dict, command: str, seed: int | None = None) -> SimpleName
     run = {}
     for name in READS[command]:
         run[name] = _value(*SCHEMA[name], cfg.get(name), name, run.get("lattice"))
+    # max|xi|^2 = dim (pi n / L)^2 is the corner mode's, finite on every Lattice
+    if "material" in run:
+        lattice, material = run["lattice"], run["material"]
+        xi2 = lattice.dim * (math.pi * lattice.n / lattice.period) ** 2
+        if not math.isfinite(max(material.mu, material.longitudinal) * xi2):
+            raise ConfigError("material: the spectral width max(mu, lam + 2 mu) max|xi|^2 "
+                              "of the lattice overflows")
     # bs-check evaluates K(z) at the kept eigenvalues, which must stay off the ray
     tau = run["solver"]["tau_filter"] if command == "bs-check" else None
     if tau is not None and tau < DEFAULT_TAU_Z:

@@ -224,8 +224,11 @@ def bound_rhs(spec: BoundSpec, params: LameParams, V: Potential,
                                      budget_bytes=budget_bytes).value ** q
     if spec.theorem == "T_KS":
         beta = spec.ks_beta(dim)
-        Vb = Potential(V.lattice, np.abs(V.values) ** beta)
-        ks = kerman_sayer_norm(Vb, spec.ks_alpha(dim), budget_bytes=budget_bytes)
+        weight = np.abs(V.values) ** beta
+        if not np.all(np.isfinite(weight)):  # the scan takes finite weights only
+            return np.inf
+        ks = kerman_sayer_norm(Potential(V.lattice, weight), spec.ks_alpha(dim),
+                               budget_bytes=budget_bytes)
         return ks.value ** (q / beta)
     if spec.theorem == "T_W":
         qw = spec.weighted_q(dim)

@@ -59,8 +59,8 @@ class LameParams:
             raise ValueError("Lame moduli must be finite")
         if self.mu <= 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.lam + 2.0 * self.mu <= 0.0:
-            raise ValueError(f"lam + 2 mu must be positive, got {self.lam + 2.0 * self.mu}")
+        if not 0.0 < self.longitudinal < np.inf:
+            raise ValueError(f"lam + 2 mu must be positive and finite, got {self.longitudinal}")
 
     @property
     def longitudinal(self) -> float:

@@ -77,6 +77,17 @@ class Lattice:
             raise ValueError(f"n must be even and >= 4, got {self.n}")
         if not (self.period > 0.0 and np.isfinite(self.period)):
             raise ValueError(f"period must be positive and finite, got {self.period}")
+        if self.dim * self.n**self.dim > np.iinfo(np.intp).max:
+            raise ValueError(f"n must keep dim * n**dim <= {np.iinfo(np.intp).max}, "
+                             f"the most numpy can index")
+        # the transform scales h^dim and L^(dim/2) must be nonzero and finite, and
+        # the largest |xi|^2 finite; a |xi|^2 that underflows to 0 is allowed
+        with np.errstate(over="ignore", under="ignore"):
+            scales = np.float64(self.spacing) ** self.dim, np.float64(self.period) ** (self.dim / 2)
+            xi2 = self.dim * np.float64(np.pi * self.n / self.period) ** 2
+        if not all(0.0 < s < np.inf for s in scales) or not np.isfinite(xi2):
+            raise ValueError(f"period {self.period} leaves h^dim, L^(dim/2) or the largest |xi|^2 "
+                             f"outside the floating-point range at {self.dim}d n = {self.n}")
 
     @classmethod
     def default(cls, dim: int, period: float = 2.0 * np.pi) -> "Lattice":

@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .lattice import Lattice, ScalarField, VectorField
 
@@ -150,10 +149,10 @@ def read_report(path) -> dict:
 def write_metadata(path, extra: dict | None = None) -> Path:
     """Write the varying run info and environment next to ``path``; return the sidecar."""
     sidecar = Path(str(path) + ".meta.json")
-    # all dense linear algebra runs in numpy's LAPACK, none in scipy's
+    # the BLAS and LAPACK numpy was built against run every dense solve
     deps = np.show_config(mode="dicts")["Build Dependencies"]
     blas, lapack = deps["blas"], deps["lapack"]
-    env = {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas.get("name"),
+    env = {"numpy": np.__version__, "blas": blas.get("name"),
            "blas_version": blas.get("version"), "lapack": lapack.get("name"),
            "lapack_version": lapack.get("version"), "cpu_count": os.cpu_count(),
            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}

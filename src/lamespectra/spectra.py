@@ -17,7 +17,7 @@ plus workspace and BLAS scratch.  It is skipped when the numerical range
 shows that no eigenvalue can pass the distance filter (:func:`_ray_reach`).
 
 All dense linear algebra runs through ``numpy.linalg``, whose LAPACK is
-loaded with numpy; no command loads ``scipy.linalg``.
+loaded with numpy; the package does not import scipy.
 """
 
 from __future__ import annotations
@@ -306,7 +306,8 @@ def _eigenvector_step(params: LameParams, V: Potential):
     eigenvectors of symmetric potentials can be orthogonal to constants),
     then u = -R0(z) psi, so (-Delta* + V - z) u = -start.  An exactly zero
     pivot moves the diagonal by eps ||I + V R0(z)||_1, as LAPACK's zhsein
-    does, and the vector stays finite.  One work array holds every matrix.
+    does, or by eps when that norm is below 1 (it is 0 when the matrix is),
+    and the vector stays finite.  One work array holds every matrix.
     """
     lat = V.lattice
     points = np.flatnonzero(V.support_mask.reshape(-1))
@@ -325,7 +326,8 @@ def _eigenvector_step(params: LameParams, V: Potential):
         try:
             psi = np.linalg.solve(T, start)
         except np.linalg.LinAlgError:
-            diagonal -= np.finfo(float).eps * max(np.abs(column).sum() for column in T.T)
+            norm = max(np.abs(column).sum() for column in T.T)
+            diagonal -= np.finfo(float).eps * max(norm, 1.0)
             psi = np.linalg.solve(T, start)
         g = np.zeros((lat.dim, lat.npoints), dtype=complex)
         g[:, points] = -psi.reshape(lat.dim, -1)

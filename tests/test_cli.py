@@ -400,6 +400,20 @@ def test_enclosure_hypothesis_violation_exit_code(tmp_path):
     assert main(["enclosure", "-c", cfg, "-o", str(tmp_path / "o")]) == 3
 
 
+def test_enclosure_of_an_overflowing_ks_weight_writes_inf(tmp_path):
+    # |V|^beta overflows for T_KS: the report is written with an infinite rhs
+    cfg = _write(tmp_path, """
+        lattice: {dim: 2, points: 8}
+        material: {lambda: 1.0, mu: 1.0}
+        potential: {family: gaussian, amplitude: -1.0e+300, width: 0.7}
+        enclosure: {theorem: T_KS, gamma: 0.4}
+        """)
+    out = tmp_path / "out"
+    assert main(["enclosure", "-c", cfg, "-o", str(out)]) == 0
+    assert _json(out, "enclosure.json")["rhs_value"] == float("inf")
+    assert "overflow encountered in power" in _json(out, "enclosure.json.meta.json")["warnings"]
+
+
 def test_budget_exit_code(tmp_path):
     cfg = _write(
         tmp_path,
@@ -417,6 +431,8 @@ _RESOLVENT = "lattice: {dim: 1, points: 16}\nmaterial: {lambda: 0.0, mu: 1.0}\nr
 _NORMS = ("lattice: {dim: 1, points: 32, period: 8.0}\n"
           "potential: {family: gaussian, amplitude: 1.0, width: 0.7}\nnorms: ")
 _WELL_16 = "lattice: {dim: 1, points: 16}\nmaterial: {lambda: 0.0, mu: 1.0}\npotential: "
+_TINY_CELL = ("lattice: {dim: 1, points: 8, period: 1.0e-160}\nmaterial: {lambda: 0.0, mu: 1.0}\n"
+              "potential: {family: well, depth: 1.0, half_width: 1.0e-161}\n")
 EIGHT_SAMPLES = Path(__file__).resolve().parent / "data" / "eight_samples.csv"
 
 
@@ -479,6 +495,18 @@ EIGHT_SAMPLES = Path(__file__).resolve().parent / "data" / "eight_samples.csv"
         ("norms", _NORMS + "[{name: lp, p: 2, q: 3}]\n", "norms[0].q"),
         ("decompose", "lattice: {dim: 5}\n", "lattice: dim"),
         ("resolvent-check", _RESOLVENT + "{z_values: []}\n", "resolvent.z_values"),
+        # floating-point edges: h^dim, the largest |xi|^2 and lam + 2 mu overflow,
+        # or the grid is more than numpy can index
+        ("decompose", "lattice: {dim: 2, points: 8, period: 1.0e+200}\n", "lattice: period"),
+        ("spectrum", _TINY_CELL, "lattice: period"),
+        ("bs-check", _TINY_CELL, "lattice: period"),
+        ("spectrum", _WELL_16.replace("lambda: 0.0, mu: 1.0", "lambda: 1.0e+308, mu: 1.0e+308")
+         + "{family: well, depth: 1.0, half_width: 1.0}\n", "material: lam + 2 mu"),
+        ("enclosure", WELL_CONFIG.replace("lambda: -1.0, mu: 1.0", "lambda: 1.0e+308, mu: 1.0e+308")
+         + "enclosure: {theorem: T1d, gamma: 0.5}\n", "material: lam + 2 mu"),
+        ("decompose", "lattice: {dim: 1, points: 1.0e+308}\n", "lattice: n"),
+        ("spectrum", _TINY_CELL.replace("1.0e-160", "1.0e-150").replace("mu: 1.0", "mu: 1.0e+10"),
+         "material: the spectral width"),
     ],
     ids=["resolvent-z-on-ray", "bs-z-on-ray", "bs-spectrum-point-on-ray", "solver-tau-filter",
          "solver-tau-res", "solver-budget", "resolvent-samples", "bs-limit", "enclosure-margin",
@@ -490,7 +518,10 @@ EIGHT_SAMPLES = Path(__file__).resolve().parent / "data" / "eight_samples.csv"
          "lattice-points-fraction", "lattice-dim-fraction", "ensemble-real-only-text",
          "resolvent-samples-zero", "solver-tau-res-negative", "solver-tau-filter-negative",
          "unknown-section", "unknown-key", "norms-unexpected-parameter", "lattice-dim-unknown",
-         "resolvent-z-values-empty"],
+         "resolvent-z-values-empty", "lattice-period-overflow", "lattice-period-underflow",
+         "bs-lattice-period-underflow", "material-longitudinal-overflow",
+         "enclosure-material-longitudinal-overflow", "lattice-points-unindexable",
+         "material-spectral-width-overflow"],
 )
 def test_bad_value_exit_code(tmp_path, capsys, command, text, named):
     cfg = _write(tmp_path, text)

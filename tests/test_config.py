@@ -158,6 +158,29 @@ def test_potential_families():
     assert np.all(np.isfinite(U.values))
 
 
+def test_complex_keys_read_exponent_strings():
+    # YAML 1.1 reads 1e-1 (no dot) as a string; a complex key reads it as a
+    # real key does, as a number
+    lat = Lattice(1, 32, 8.0)
+    doc = yaml.safe_load("""
+        gaussian: {family: gaussian, amplitude: 1e-1, width: 0.5}
+        well: {family: well, depth: 2e3, half_width: 1.0}
+        resolvent: {z_values: [-1e-2, [1e-1, 2E-1]]}
+        """)
+    assert doc["gaussian"]["amplitude"] == "1e-1"
+    V = potential_from_config({"potential": doc["gaussian"]}, lat)
+    assert np.array_equal(V.values, potential_from_config(
+        {"potential": {"family": "gaussian", "amplitude": 0.1, "width": 0.5}}, lat).values)
+    W = potential_from_config({"potential": doc["well"]}, lat)
+    assert np.min(W.values.real) == -2000.0
+    run = check_config({"lattice": {"dim": 1, "points": 16}, "material": {"lambda": 0.0, "mu": 1.0},
+                        "resolvent": doc["resolvent"]}, "resolvent-check")
+    assert run.resolvent["z_values"] == [-0.01, 0.1 + 0.2j]
+    for text in ("1e-1x", "nan", ".", "1e"):
+        with pytest.raises(ConfigError, match="must be a number or a \\[re, im\\] pair"):
+            potential_from_config({"potential": {**doc["well"], "depth": text}}, lat)
+
+
 def test_potential_csv_route(tmp_path):
     lat = Lattice(1, 8, 2.0)
     rng = np.random.default_rng(0)

@@ -177,6 +177,15 @@ def test_tks_rhs_uses_beta_power():
     assert bound_rhs(spec, PARAMS, V) == expected
 
 
+def test_tks_rhs_of_an_overflowing_weight_is_inf():
+    # |V|^beta overflows although V is finite: the right-hand side is inf, as
+    # for T_Lp, and the Kerman-Sayer scan never sees a non-finite weight
+    V = gaussian_bump(Lattice(2, 8), -1e300, 0.7)
+    with np.errstate(over="ignore"):
+        assert bound_rhs(BoundSpec("T_KS", 0.4), PARAMS, V) == np.inf
+        assert bound_rhs(BoundSpec("T_Lp", 0.4), PARAMS, V) == np.inf
+
+
 def test_tw_rhs():
     V = _real_potential_2d()
     spec = BoundSpec("T_W", 0.75, alpha=0.6)

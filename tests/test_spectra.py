@@ -391,6 +391,12 @@ def test_inverse_iteration_at_an_exact_eigenvalue():
     res = discrete_eigenvalues(params, V, tau_filter=3.0)
     assert res.eigenvalues.tolist() == [-16.0, -9.0, -4.0]
     assert np.all(res.residuals <= 1e-12)
+    # a well over the whole cell: I + V R0(-4) is exactly the zero matrix, so
+    # the pivot guard has no norm to scale and moves the diagonal by eps
+    V = Potential(Lattice(1, 4, 1e200), np.full(4, -4.0))
+    res = discrete_eigenvalues(params, V, tau_filter=3.0)
+    assert res.eigenvalues.tolist() == [-4.0] * 4
+    assert np.all(res.residuals == 0.0)
 
 
 def test_zero_potential_below_the_margin_keeps_nothing():
