@@ -28,9 +28,12 @@ def _fresh_python(code: str, cwd=None) -> str:
     return done.stdout
 
 
-def test_cli_import_loads_no_scipy():
+# no module under src/ imports scipy; the subpackage cases name the heavy
+# imports a regression would most likely bring back
+@pytest.mark.parametrize("package", ["scipy.sparse", "scipy.linalg", "scipy"])
+def test_cli_import_leaves_out(package):
     code = ("import sys, lamespectra.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            f"print(sorted(m for m in sys.modules if m.startswith({package!r})))")
     assert _fresh_python(code).strip() == "[]"
 
 
