@@ -61,7 +61,7 @@ def _number(integral=False, lo=None, strict=False):
     def kind(value, where, lattice=None):
         try:
             x = math.nan if isinstance(value, bool) else float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int beyond the float range overflows
             x = math.nan
         if not math.isfinite(x):
             raise ConfigError(f"{where} must be a finite number, got {value!r}")

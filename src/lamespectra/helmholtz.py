@@ -60,11 +60,22 @@ def riesz_transform(axis: int, phi: ScalarField) -> ScalarField:
     return apply_multiplier(_riesz_symbol(phi.lattice, axis), phi)
 
 
-def potential_amplitude(lattice: Lattice, fhat: np.ndarray) -> np.ndarray:
-    """q = (xi . fhat) / |xi|^2, 0 at xi = 0; xi q is the potential part of fhat."""
+def _inverse_norm2(lattice: Lattice) -> np.ndarray:
+    """1 / |xi|^2 on the frequency grid, 0 at xi = 0; a fresh array."""
     xi2 = lattice.frequency_norm2
+    return np.divide(1.0, xi2, out=np.zeros_like(xi2), where=xi2 > 0.0)
+
+
+def potential_amplitude(lattice: Lattice, fhat: np.ndarray, inv_xi2=None) -> np.ndarray:
+    """q = (xi . fhat) / |xi|^2, 0 at xi = 0; xi q is the potential part of fhat.
+
+    ``inv_xi2`` is :func:`_inverse_norm2` of the lattice, built here when not
+    given.  Multiplying by it has the bits of dividing by |xi|^2, up to the
+    sign of an exactly zero part (see ``lattice._inverse_into``).
+    """
     q = _frequency_dot(lattice, fhat)
-    return np.divide(q, xi2, out=q, where=xi2 > 0.0)  # xi . fhat is 0 at xi = 0
+    q *= _inverse_norm2(lattice) if inv_xi2 is None else inv_xi2
+    return q
 
 
 def leray_coefficients(lattice: Lattice, fhat: np.ndarray) -> np.ndarray:

@@ -20,13 +20,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .helmholtz import potential_amplitude
+from .helmholtz import _inverse_norm2, potential_amplitude
 from .lattice import (
     Lattice,
     ScalarField,
     VectorField,
     _adopt,
+    _forward_into,
     _frequency_dot,
+    _inverse_into,
     forward_transform,
     inverse_transform,
 )
@@ -157,31 +159,41 @@ def split_resolvent(params: LameParams, z: complex, lattice: Lattice):
 
     With ghat = gs + gp (gp = xi q, the potential part) each application forms
     gs / (mu |xi|^2 - z) + gp / ((lam + 2 mu) |xi|^2 - z) in place, as
-    ghat / (mu |xi|^2 - z) plus gp times the two resolvents' difference.  Both
-    multipliers are built here, once; an application makes one forward and one
-    inverse transform, leaves ``g`` untouched and returns a read-only field.
+    ghat / (mu |xi|^2 - z) plus gp times the two resolvents' difference.  The
+    multipliers and 1 / |xi|^2 are built here, once.  An application makes one
+    forward and one inverse transform in one fresh array, which it returns
+    read-only as the result; it leaves ``g`` untouched and shares no buffer
+    with other applications, so the built map is reentrant.
     """
     _check_admissible(z)
     return _split_resolvent(params, z, lattice)
 
 
-def _split_resolvent(params: LameParams, z: complex, lattice: Lattice):
-    """:func:`split_resolvent` at any z off the ray, with no check."""
+def _split_resolvent(params: LameParams, z: complex, lattice: Lattice, weight=None):
+    """:func:`split_resolvent` at any z off the ray, with no check.
+
+    A real ``weight`` of ``lattice.shape`` makes the map g -> w R(z) (w g).
+    """
     xi2 = lattice.frequency_norm2
+    inv_xi2 = _inverse_norm2(lattice)
     shear = np.reciprocal(params.mu * xi2 - z)
     diff = np.reciprocal(params.longitudinal * xi2 - z) - shear
 
     def apply(g: VectorField) -> VectorField:
         if g.lattice != lattice:
             raise ValueError("field and resolvent live on different lattices")
-        ghat = forward_transform(g).values
-        q = potential_amplitude(lattice, ghat)
+        out = np.empty_like(g.values)
+        values = g.values if weight is None else np.multiply(g.values, weight, out=out)
+        _forward_into(lattice, values, out)
+        q = potential_amplitude(lattice, out, inv_xi2)
         q *= diff
-        out = ghat * shear
-        del ghat  # frees the coefficients before the inverse transform allocates
+        out *= shear
         for k, xi_k in enumerate(lattice.frequency_grid):
             out[k] += xi_k * q
-        return inverse_transform(_adopt(VectorField, lattice, out))
+        _inverse_into(lattice, out, out)
+        if weight is not None:
+            out *= weight
+        return _adopt(VectorField, lattice, out)
 
     return apply
 

@@ -257,22 +257,38 @@ def _forward_scale(lattice: Lattice) -> float:
     return lattice.cell_volume / lattice.period ** (lattice.dim / 2.0)
 
 
+def _forward_into(lattice: Lattice, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Coefficients of ``values`` written into ``out`` (which may be ``values``): FFT, then scale."""
+    np.fft.fftn(values, axes=tuple(range(-lattice.dim, 0)), out=out)
+    out *= _forward_scale(lattice)
+    return out
+
+
+def _inverse_into(lattice: Lattice, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Samples of the coefficients ``values`` written into ``out`` (which may be
+    ``values``): multiply by the reciprocal scale, then inverse FFT in place.
+
+    numpy divides complex by real as (a_r + a_i 0) (1/s), so the product has
+    the bits of the quotient, up to the sign of an exactly zero part.
+    """
+    np.multiply(values, 1.0 / _forward_scale(lattice), out=out)
+    np.fft.ifftn(out, axes=tuple(range(-lattice.dim, 0)), out=out)
+    return out
+
+
 def forward_transform(field):
     """Fourier coefficients of a field, as a field-shaped object.
 
     The returned object has the same type as the input; its ``values`` hold
     the coefficients indexed by FFT-ordered frequency, in one fresh array.
     """
-    out = np.empty_like(field.values)
-    np.fft.fftn(field.values, axes=tuple(range(-field.lattice.dim, 0)), out=out)
-    out *= _forward_scale(field.lattice)
+    out = _forward_into(field.lattice, field.values, np.empty_like(field.values))
     return _adopt(type(field), field.lattice, out)
 
 
 def inverse_transform(field):
     """Inverse of :func:`forward_transform`; round trip is identity to roundoff."""
-    out = field.values / _forward_scale(field.lattice)
-    np.fft.ifftn(out, axes=tuple(range(-field.lattice.dim, 0)), out=out)
+    out = _inverse_into(field.lattice, field.values, np.empty_like(field.values))
     return _adopt(type(field), field.lattice, out)
 
 
@@ -310,22 +326,26 @@ def apply_multiplier(sym, field):
 # -- quadrature norms ---------------------------------------------------------
 
 
+def _check_p(p: float) -> None:
+    # the sum's formula at p = inf reads 1 for any field, not the sup norm
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
+
+
 def scalar_lp_norm(field, p: float) -> float:
-    """Discrete L^p norm (sum |f|^p h^dim)^(1/p) of any field's values; p >= 1.
+    """Discrete L^p norm (sum |f|^p h^dim)^(1/p) of any field's values; finite p >= 1.
 
     A vector field's components enter one sum together, which rounds
     differently from :func:`vector_lp_norm`'s per-component sums.
     """
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     w = np.abs(field.values) ** p
     return float(np.sum(w) * field.lattice.cell_volume) ** (1.0 / p)
 
 
 def vector_lp_norm(field: VectorField, p: float) -> float:
     """Vector L^p norm (sum_j ||u_j||_p^p)^(1/p)."""
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     total = sum(scalar_lp_norm(c, p) ** p for c in field.components)
     return float(total) ** (1.0 / p)
 

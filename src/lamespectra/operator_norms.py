@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import trace
 from .lattice import _adopt, l2_norm, scalar_lp_norm
 
 __all__ = ["ConvergenceError", "singular_norm", "lp_operator_norm"]
@@ -59,21 +60,24 @@ def singular_norm(apply_op, apply_adjoint, start, tol: float = 1e-10,
     if nv == 0.0:
         raise ValueError("starting iterate is zero")
     v = v * (1.0 / nv)
-    sigma_prev = 0.0
-    sigma = 0.0
-    for it in range(1, max_iter + 1):
-        kv = apply_op(v)
-        sigma_new = l2_norm(kv)
-        if sigma_new == 0.0:
-            return 0.0
-        w = apply_adjoint(kv)
-        nw = l2_norm(w)
-        if nw == 0.0:
-            return sigma_new
-        v = w * (1.0 / nw)
-        sigma_prev, sigma = sigma, sigma_new
-        if it >= _MIN_ITER and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
-            return sigma
+    sigma_prev = sigma = 0.0
+    with trace.stage("iter.singular") as note:
+        note["iterations"], note["converged"] = 0, True
+        for it in range(1, max_iter + 1):
+            kv = apply_op(v)
+            sigma_new = l2_norm(kv)
+            if sigma_new == 0.0:
+                return 0.0
+            w = apply_adjoint(kv)
+            note["iterations"] = it
+            nw = l2_norm(w)
+            if nw == 0.0:
+                return sigma_new
+            v = w * (1.0 / nw)
+            sigma_prev, sigma = sigma, sigma_new
+            if it >= _MIN_ITER and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+                return sigma
+        note["converged"] = False
     raise ConvergenceError(
         f"power iteration did not settle in {max_iter} steps", (sigma_prev, sigma)
     )
@@ -82,7 +86,8 @@ def singular_norm(apply_op, apply_adjoint, start, tol: float = 1e-10,
 def _duality_map(values: np.ndarray, s: float) -> np.ndarray:
     """Pointwise |v|^(s-1) sgn(v) with the complex signum, 0 at 0."""
     mag = np.abs(values)
-    out = np.divide(values, mag, out=np.zeros_like(values), where=mag > 0)
+    # times the real reciprocal: the bits of values / mag, up to the sign of a zero part
+    out = values * np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > 0)
     out *= mag ** (s - 1.0)  # s > 1, so 0 stays 0
     return out
 
@@ -110,21 +115,26 @@ def lp_operator_norm(apply_op, apply_adjoint, start, p: float, q: float,
         raise ValueError("starting iterate is zero")
     x = x * (1.0 / nx)
     best = 0.0
-    for _ in range(n_iter):
-        y = apply_op(x)
-        gamma = scalar_lp_norm(y, q)
-        if gamma == 0.0:
-            break
-        best = max(best, gamma)
-        z = apply_adjoint(_adopt(cls, lattice, _duality_map(y.values, q)))
-        x_new = _adopt(cls, lattice, _duality_map(z.values, p_dual))
-        nx = scalar_lp_norm(x_new, p)
-        if nx == 0.0:
-            break
-        x_new = x_new * (1.0 / nx)
-        if scalar_lp_norm(x_new - x, p) <= tol:
+    with trace.stage("iter.lp") as note:
+        note["iterations"], note["converged"] = 0, True
+        for it in range(1, n_iter + 1):
+            y = apply_op(x)
+            gamma = scalar_lp_norm(y, q)
+            if gamma == 0.0:
+                break
+            best = max(best, gamma)
+            z = apply_adjoint(_adopt(cls, lattice, _duality_map(y.values, q)))
+            note["iterations"] = it
+            x_new = _adopt(cls, lattice, _duality_map(z.values, p_dual))
+            nx = scalar_lp_norm(x_new, p)
+            if nx == 0.0:
+                break
+            x_new = x_new * (1.0 / nx)
+            if scalar_lp_norm(x_new - x, p) <= tol:
+                x = x_new
+                best = max(best, scalar_lp_norm(apply_op(x), q))
+                break
             x = x_new
-            best = max(best, scalar_lp_norm(apply_op(x), q))
-            break
-        x = x_new
+        else:
+            note["converged"] = False
     return best

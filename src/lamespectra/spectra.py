@@ -42,7 +42,6 @@ from .lattice import (
     BudgetExceeded,
     Lattice,
     VectorField,
-    _adopt,
     _format_bytes,
     l2_norm,
     random_vector_field,
@@ -474,19 +473,12 @@ def resolvent_norm_estimate(params: LameParams, z: complex, norm_pair, lattice: 
 
     if kind == "weighted_l2":
         alpha = float(value)
-        if not alpha >= 0.0:
-            raise ValueError(f"weight exponent must be >= 0, got {alpha}")
+        if not 0.0 <= alpha < np.inf:
+            raise ValueError(f"weight exponent must be >= 0 and finite, got {alpha}")
         inv_half = polynomial_weight(lattice, -alpha / 2.0)  # <x>^-alpha
-
-        def conjugated(w):
-            resolvent = split_resolvent(params, w, lattice)
-
-            def op(g):
-                out = resolvent(_adopt(VectorField, lattice, g.values * inv_half))
-                return _adopt(VectorField, lattice, out.values * inv_half)
-            return op
-
-        return singular_norm(conjugated(z), conjugated(np.conj(z)),
-                             random_vector_field(lattice, rng), tol=tol, max_iter=5000)
+        # z was checked above, and conj(z) lies as far from the ray
+        op = _split_resolvent(params, z, lattice, weight=inv_half)
+        op_adj = _split_resolvent(params, np.conj(z), lattice, weight=inv_half)
+        return singular_norm(op, op_adj, random_vector_field(lattice, rng), tol=tol, max_iter=5000)
 
     raise ValueError(f"unknown norm pairing {kind!r}")

@@ -14,6 +14,11 @@ operator is applied matrix-free through the FFT resolvent, the reference
 the dense kernel's columns are checked against.  The resolvent norm
 estimate rebuilds the split resolvent on every application, inside the same
 iterations as the library's estimator, which builds it once per z.
+The split resolvent, the inverse transform, the potential amplitude and
+the duality map are also kept in their former form, which divides complex
+arrays by real ones and allocates a fresh array at every step; the
+library's reciprocal products and in-place steps must match them bit for
+bit.
 """
 
 import itertools
@@ -329,3 +334,49 @@ def resolvent_norm_estimate_rebuilding(params, z, norm_pair, lattice, samples=6,
 
     return singular_norm(conjugated(z), conjugated(np.conj(z)),
                          random_vector_field(lattice, rng), tol=tol, max_iter=5000)
+
+
+def _axes(lattice):
+    return tuple(range(-lattice.dim, 0))
+
+
+def inverse_transform_dividing(lattice, coefficients):
+    """Samples of Fourier coefficients: divide by the forward scale, then invert."""
+    scale = lattice.cell_volume / lattice.period ** (lattice.dim / 2.0)
+    return np.fft.ifftn(coefficients / scale, axes=_axes(lattice))
+
+
+def potential_amplitude_dividing(lattice, fhat):
+    """(xi . fhat) / |xi|^2 by a masked complex divide, 0 at xi = 0."""
+    xi, xi2 = lattice.frequency_grid, lattice.frequency_norm2
+    q = xi[0] * fhat[0]
+    for k in range(1, lattice.dim):
+        q = q + xi[k] * fhat[k]
+    return np.divide(q, xi2, out=q, where=xi2 > 0.0)
+
+
+def split_resolvent_dividing(params, z, g, weight=None):
+    """w (-Delta* - z)^-1 (w g) by the Helmholtz splitting, one fresh array per step.
+
+    ``weight`` None means w = 1.
+    """
+    lat = g.lattice
+    xi2 = lat.frequency_norm2
+    shear = np.reciprocal(params.mu * xi2 - z)
+    diff = np.reciprocal(params.longitudinal * xi2 - z) - shear
+    values = g.values if weight is None else g.values * weight
+    scale = lat.cell_volume / lat.period ** (lat.dim / 2.0)
+    ghat = np.fft.fftn(values, axes=_axes(lat)) * scale
+    q = potential_amplitude_dividing(lat, ghat) * diff
+    out = ghat * shear
+    for k, xi_k in enumerate(lat.frequency_grid):
+        out[k] = out[k] + xi_k * q
+    out = inverse_transform_dividing(lat, out)
+    return out if weight is None else out * weight
+
+
+def duality_map_dividing(values, s):
+    """|v|^(s-1) sgn(v) by a masked complex divide, 0 at 0."""
+    mag = np.abs(values)
+    out = np.divide(values, mag, out=np.zeros_like(values), where=mag > 0)
+    return out * mag ** (s - 1.0)

@@ -507,6 +507,7 @@ EIGHT_SAMPLES = Path(__file__).resolve().parent / "data" / "eight_samples.csv"
         ("decompose", "lattice: {dim: 1, points: 1.0e+308}\n", "lattice: n"),
         ("spectrum", _TINY_CELL.replace("1.0e-160", "1.0e-150").replace("mu: 1.0", "mu: 1.0e+10"),
          "material: the spectral width"),
+        ("decompose", "lattice: {dim: 1, points: 1" + "0" * 400 + "}\n", "lattice.points"),
     ],
     ids=["resolvent-z-on-ray", "bs-z-on-ray", "bs-spectrum-point-on-ray", "solver-tau-filter",
          "solver-tau-res", "solver-budget", "resolvent-samples", "bs-limit", "enclosure-margin",
@@ -521,7 +522,7 @@ EIGHT_SAMPLES = Path(__file__).resolve().parent / "data" / "eight_samples.csv"
          "resolvent-z-values-empty", "lattice-period-overflow", "lattice-period-underflow",
          "bs-lattice-period-underflow", "material-longitudinal-overflow",
          "enclosure-material-longitudinal-overflow", "lattice-points-unindexable",
-         "material-spectral-width-overflow"],
+         "material-spectral-width-overflow", "lattice-points-beyond-float"],
 )
 def test_bad_value_exit_code(tmp_path, capsys, command, text, named):
     cfg = _write(tmp_path, text)

@@ -245,24 +245,24 @@ def test_split_resolvent_application_peak_memory():
 
 
 def test_resolvent_split_uses_one_transform_pair(monkeypatch):
-    # every module that could reach the FFT counts into the same tally
-    import lamespectra.helmholtz
+    # the public transforms and the split resolvent all reach the FFT through
+    # the two primitives, so counting them where they are bound counts every call
     import lamespectra.lame
     import lamespectra.lattice
 
     counts = {"forward": 0, "inverse": 0}
 
     def counted(kind, fn):
-        def wrapper(field):
+        def wrapper(*args):
             counts[kind] += 1
-            return fn(field)
+            return fn(*args)
         return wrapper
 
-    forward = counted("forward", lamespectra.lattice.forward_transform)
-    inverse = counted("inverse", lamespectra.lattice.inverse_transform)
-    for module in (lamespectra.lattice, lamespectra.helmholtz, lamespectra.lame):
-        monkeypatch.setattr(module, "forward_transform", forward)
-        monkeypatch.setattr(module, "inverse_transform", inverse)
+    forward = counted("forward", lamespectra.lattice._forward_into)
+    inverse = counted("inverse", lamespectra.lattice._inverse_into)
+    for module in (lamespectra.lattice, lamespectra.lame):
+        monkeypatch.setattr(module, "_forward_into", forward)
+        monkeypatch.setattr(module, "_inverse_into", inverse)
     g = random_vector_field(Lattice(2, 8), np.random.default_rng(6))
     resolvent_split(LameParams(1.0, 1.0), -1.0 + 0.5j, g)
     assert counts == {"forward": 1, "inverse": 1}
@@ -272,6 +272,9 @@ def test_resolvent_split_uses_one_transform_pair(monkeypatch):
     for _ in range(3):
         built(g)
     assert counts == {"forward": 4, "inverse": 4}
+    # the public transforms count through the same primitives
+    inverse_transform(forward_transform(g))
+    assert counts == {"forward": 5, "inverse": 5}
 
 
 def test_resolvent_inverts_operator():

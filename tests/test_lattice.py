@@ -206,13 +206,23 @@ def test_vector_lp_norm_is_component_sum():
     assert_allclose(vector_lp_norm(u, p), manual, rtol=1e-13)
 
 
-@pytest.mark.parametrize("p", [0.5, float("nan")])
+@pytest.mark.parametrize("p", [0.5, float("nan"), float("inf")])
 def test_lp_norms_reject_bad_exponents(p):
     u = random_vector_field(Lattice(1, 8), np.random.default_rng(0))
     with pytest.raises(ValueError, match="p must be >= 1"):
         scalar_lp_norm(u.component(0), p)
     with pytest.raises(ValueError, match="p must be >= 1"):
         vector_lp_norm(u, p)
+
+
+def test_lp_norms_refuse_p_infinity():
+    # the sup norm of the samples 0..7 is 7; the sum's formula read 1.0 at p = inf
+    field = ScalarField(Lattice(1, 8), np.arange(8.0))
+    with pytest.raises(ValueError, match="p must be >= 1 and finite, got inf"):
+        scalar_lp_norm(field, np.inf)
+    with pytest.raises(ValueError, match="p must be >= 1 and finite, got inf"):
+        vector_lp_norm(VectorField(field.lattice, field.values[None]), np.inf)
+    assert scalar_lp_norm(field, 100.0) == pytest.approx(7.0, rel=1e-2)
 
 
 def test_l2_inner_matches_norm():

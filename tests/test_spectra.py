@@ -607,6 +607,21 @@ def test_estimate_equals_rebuilding_oracle(pair):
         assert est == resolvent_norm_estimate_rebuilding(params, z, pair, lat, **kwargs), z
 
 
+@pytest.mark.parametrize("alpha", [float("inf"), float("nan"), -0.5])
+def test_weighted_estimate_refuses_bad_alpha(alpha, monkeypatch):
+    # alpha = inf passed the old `alpha >= 0` test and returned 0.106 here, from
+    # a weight that is 1 at the centre and 0 elsewhere; no step runs before the refusal
+    import lamespectra.spectra
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("an estimator ran")
+
+    monkeypatch.setattr(lamespectra.spectra, "singular_norm", no_step)
+    with pytest.raises(ValueError, match="weight exponent must be >= 0 and finite"):
+        resolvent_norm_estimate(LameParams(1.0, 1.0), -1.0 + 0.5j, ("weighted_l2", alpha),
+                                Lattice(2, 8))
+
+
 @pytest.mark.parametrize("pair, controls, named", [
     (("lp_dual", 2.0), {"samples": 0}, "samples must be >= 1"),
     (("weighted_l2", 1.0), {"samples": 0}, "samples must be >= 1"),
